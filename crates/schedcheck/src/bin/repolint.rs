@@ -7,7 +7,7 @@
 //! async communication layer (unregistered `Poll::Pending`, `RefCell`
 //! borrows across suspension points, send effects inside `poll` bodies),
 //! and `.unwrap()`/`.expect()` on communication results inside the
-//! self-healing recovery modules. Prints every hit and exits nonzero if
+//! self-healing recovery module. Prints every hit and exits nonzero if
 //! any are found.
 //!
 //! Run from the repository root (the directory containing `crates/`).

@@ -54,11 +54,10 @@
 //!    effect — sends must happen eagerly, before the future exists).
 //!    Deliberate exceptions carry a `// lint: allow(cancel-safety)` marker.
 //! 9. [`check_recovery_unwrap`] — no `.unwrap(` / `.expect(` on the result
-//!    of a communication call inside the self-healing recovery modules
-//!    (`crates/core/src/recovery.rs`, `recovery_async.rs`). A `CommError`
-//!    there *is* the input the layer exists to handle — a peer death or
-//!    timeout must feed the heartbeat/agreement machinery, never abort the
-//!    process. Rule 2's generic `allow(panic)` waiver deliberately does not
+//!    of a communication call inside the self-healing recovery module
+//!    (`crates/core/src/recovery.rs`). A `CommError` there *is* the input
+//!    the layer exists to handle — a peer death or timeout must feed the
+//!    heartbeat/agreement machinery, never abort the process. Rule 2's generic `allow(panic)` waiver deliberately does not
 //!    apply; the only escape hatch is `// lint: allow(recovery-unwrap)`.
 //! 10. [`check_bcast_hot_copy`] — no unaccounted payload copies in the
 //!     broadcast hot-path modules (rule 5's file set plus `binomial.rs`).
@@ -444,16 +443,16 @@ pub fn check_cancel_safety(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// The self-healing recovery paths: the modules whose whole purpose is to
+/// The self-healing recovery path: the module whose whole purpose is to
 /// *survive* `CommError`s, so panicking on one defeats the layer.
 fn is_recovery_path(path: &str) -> bool {
-    matches!(path, "crates/core/src/recovery.rs" | "crates/core/src/recovery_async.rs")
+    path == "crates/core/src/recovery.rs"
 }
 
 /// Rule 9: `.unwrap(` / `.expect(` on the `Result` of a communication call
-/// inside the recovery modules (`crates/core/src/recovery.rs`,
-/// `recovery_async.rs`). Rule 2 already bans bare panics in library code,
-/// but its `// lint: allow(panic)` waiver is too blunt here: a waived
+/// inside the recovery module (`crates/core/src/recovery.rs`). Rule 2
+/// already bans bare panics in library code, but its
+/// `// lint: allow(panic)` waiver is too blunt here: a waived
 /// unwrap of a *`CommError`* in recovery code turns the exact failure the
 /// layer exists to absorb (a peer death, a timeout) into a process abort —
 /// precisely the outcome self-healing is supposed to prevent. Detection
@@ -818,7 +817,8 @@ mod tests {
     fn recovery_unwrap_flags_comm_results_in_recovery_files_only() {
         let bad = "fn f() { comm.recv(&mut buf, peer, Tag(3)).unwrap(); }\n";
         assert_eq!(check_recovery_unwrap("crates/core/src/recovery.rs", bad).len(), 1);
-        assert_eq!(check_recovery_unwrap("crates/core/src/recovery_async.rs", bad).len(), 1);
+        let awaited = "fn f() { comm.recv(&mut buf, peer, Tag(3)).await.unwrap(); }\n";
+        assert_eq!(check_recovery_unwrap("crates/core/src/recovery.rs", awaited).len(), 1);
         // Other files — even other core modules — are rule 2's territory.
         assert!(check_recovery_unwrap("crates/core/src/bcast.rs", bad).is_empty());
         let expect = "let n = comm.recv_timeout(&mut b, p, Tag(1), t).expect(\"peer\");\n";
@@ -839,7 +839,7 @@ mod tests {
         let split = "let healed = self.comm.sendrecv(&out, peer, Tag(2), &mut inb, peer, Tag(2))\n\
                      .await\n\
                      .unwrap();\n";
-        let hits = check_recovery_unwrap("crates/core/src/recovery_async.rs", split);
+        let hits = check_recovery_unwrap("crates/core/src/recovery.rs", split);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].line, 3);
         // The statement terminator resets the tracking: an unwrap in the

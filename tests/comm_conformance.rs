@@ -40,8 +40,9 @@
 //! envelope without copying, the ring allgather's hold chain. A decorator
 //! companion drives the same calls through `SubComm` rank translation,
 //! `ReliableComm` retransmission framing, and the recovery layer's
-//! `GuardedComm` deadlines, proving the copy-fallback trait defaults keep
-//! every wrapper correct without a native zero-copy path of its own.
+//! `GuardedComm` deadlines: `SubComm` and `GuardedComm` forward the
+//! zero-copy surface natively, while `ReliableComm` relies on the
+//! copy-fallback trait defaults — both shapes must keep the payload intact.
 
 use std::time::Duration;
 
@@ -551,11 +552,12 @@ async fn shared_battery<C: AsyncCommunicator>(comm: &C) {
     comm.barrier().await.unwrap();
 }
 
-/// Decorator passthrough for the shared-payload surface: the copy-fallback
-/// trait defaults must keep every wrapper correct — `SubComm` translates
-/// ranks, `ReliableComm` frames each payload in its retransmission
-/// protocol, `GuardedComm` bounds each receive with a deadline — even
-/// though none of them implements a native zero-copy path. Requires an
+/// Decorator passthrough for the shared-payload surface: every wrapper must
+/// keep the payload intact — `SubComm` translates ranks and `GuardedComm`
+/// bounds each receive with a deadline, both forwarding the zero-copy calls
+/// natively, while `ReliableComm` frames each payload in its
+/// retransmission protocol through the copy-fallback trait defaults (it has
+/// no native zero-copy path). Requires an
 /// eagerly-delivering transport (`GuardedComm` decomposes `sendrecv` and
 /// `ReliableComm` pumps ACKs), like the fault battery.
 async fn shared_decorator_battery<C: AsyncCommunicator>(comm: &C) {
