@@ -105,4 +105,4 @@ pub use ring_tuned::{
 };
 pub use scatter::{binomial_scatter_root, binomial_scatter_shared_async, owned_chunks};
 pub use schedule::{all_sources, Loc, RankSchedule, SchedOp, Schedule, ScheduleSource};
-pub use smp::{bcast_smp, NodeMap};
+pub use smp::{bcast_smp, bcast_smp_async, NodeMap};

@@ -11,10 +11,10 @@
 //! next node starts), which is the default placement on the paper's Hornet
 //! system.
 
-use mpsim::{Communicator, Rank, Result, SubComm};
+use mpsim::{complete_now, AsyncCommunicator, Communicator, Rank, Result, SubComm, SyncComm};
 
-use crate::bcast::{append_bcast_ops, bcast_with, Algorithm};
-use crate::binomial::{append_binomial_ops, bcast_binomial};
+use crate::bcast::{append_bcast_ops, bcast_with_async, Algorithm};
+use crate::binomial::{append_binomial_ops, bcast_binomial_async};
 use crate::schedule::{Schedule, ScheduleSource};
 
 /// Block placement of ranks onto nodes with a fixed number of cores per node.
@@ -72,6 +72,19 @@ pub fn bcast_smp(
     nodes: &NodeMap,
     inter_algorithm: Algorithm,
 ) -> Result<()> {
+    complete_now(bcast_smp_async(&SyncComm::new(comm), buf, root, nodes, inter_algorithm))
+}
+
+/// Async core of [`bcast_smp`]: the three phases over [`SubComm`] views of
+/// any [`AsyncCommunicator`], so every phase keeps the parent backend's
+/// zero-copy envelopes and copy accounting.
+pub async fn bcast_smp_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    buf: &mut [u8],
+    root: Rank,
+    nodes: &NodeMap,
+    inter_algorithm: Algorithm,
+) -> Result<()> {
     comm.check_rank(root)?;
     let size = comm.size();
     let rank = comm.rank();
@@ -87,23 +100,23 @@ pub fn bcast_smp(
     if my_node == root_node {
         let members = nodes.ranks_of(root_node, size);
         if members.len() > 1 {
-            let sub = SubComm::new(comm, members)
+            let sub = SubComm::new_async(comm, members)
                 // lint: allow(panic) — NodeMap invariant: this rank is on the root node
                 .expect("rank is on the root node but missing from member list");
             // lint: allow(panic) — NodeMap invariant: root is a member of its own node
             let local_root = sub.from_parent(root).expect("root missing from its own node");
-            bcast_binomial(&sub, buf, local_root)?;
+            bcast_binomial_async(&sub, buf, local_root).await?;
         }
     }
 
     // Phase 2: inter-node broadcast among node leaders.
     let leaders: Vec<Rank> = (0..nodes.node_count(size)).map(|n| nodes.leader_of(n)).collect();
     if leaders.len() > 1 {
-        if let Some(sub) = SubComm::new(comm, leaders) {
+        if let Some(sub) = SubComm::new_async(comm, leaders) {
             let local_root =
                 // lint: allow(panic) — NodeMap invariant: leaders list is built from leader_of
                 sub.from_parent(nodes.leader_of(root_node)).expect("root node has no leader");
-            bcast_with(&sub, buf, local_root, inter_algorithm)?;
+            bcast_with_async(&sub, buf, local_root, inter_algorithm).await?;
         }
     }
 
@@ -111,14 +124,14 @@ pub fn bcast_smp(
     if my_node != root_node {
         let members = nodes.ranks_of(my_node, size);
         if members.len() > 1 {
-            let sub =
+            let sub = SubComm::new_async(comm, members)
                 // lint: allow(panic) — NodeMap invariant: ranks_of(my_node) contains this rank
-                SubComm::new(comm, members).expect("rank missing from its own node's member list");
+                .expect("rank missing from its own node's member list");
             let local_root = sub
                 .from_parent(nodes.leader_of(my_node))
                 // lint: allow(panic) — NodeMap invariant: a node always contains its leader
                 .expect("node leader missing from node members");
-            bcast_binomial(&sub, buf, local_root)?;
+            bcast_binomial_async(&sub, buf, local_root).await?;
         }
     }
     Ok(())
@@ -291,6 +304,30 @@ mod tests {
         // 5 leaders: native ring 5·4 = 20 msgs + 4 scatter; tuned 5²−Σown.
         assert_eq!(native, 20 + 4);
         assert!(tuned < native, "tuned {tuned} native {native}");
+    }
+
+    #[test]
+    fn smp_bcast_runs_on_the_event_executor() {
+        let (size, cpn, nbytes, root) = (12usize, 4usize, 120usize, 5usize);
+        let src = pattern(nbytes);
+        let nodes = NodeMap::new(cpn);
+        let event = mpsim::EventWorld::run(size, |comm| {
+            let src = src.clone();
+            async move {
+                let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
+                bcast_smp_async(&comm, &mut buf, root, &nodes, Algorithm::ScatterRingTuned)
+                    .await
+                    .unwrap();
+                buf == src
+            }
+        });
+        assert!(event.results.iter().all(|&ok| ok));
+        let threaded = ThreadWorld::run(size, |comm| {
+            let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
+            bcast_smp(comm, &mut buf, root, &nodes, Algorithm::ScatterRingTuned).unwrap();
+        });
+        assert_eq!(event.traffic.total_msgs(), threaded.traffic.total_msgs());
+        assert_eq!(event.traffic.total_bytes(), threaded.traffic.total_bytes());
     }
 
     #[test]

@@ -106,19 +106,10 @@ pub trait Communicator {
     /// Spans must lie inside `buf` and be pairwise disjoint
     /// ([`CommError::OutOfBounds`] / [`CommError::SpanOverlap`]).
     ///
-    /// The default implementation assembles the payload in a temporary
-    /// `Vec` and forwards to `send` (so traffic accounting degrades to one
-    /// logical message per envelope); backends override it to gather
-    /// straight into their transmit envelope and record one logical message
-    /// per span but a single envelope (see `TrafficStats::envelopes_sent`).
-    fn send_vectored(&self, buf: &[u8], spans: &[IoSpan], dest: Rank, tag: Tag) -> Result<()> {
-        let total = validate_spans(buf.len(), spans)?;
-        let mut tmp = Vec::with_capacity(total);
-        for s in spans {
-            tmp.extend_from_slice(&buf[s.range()]);
-        }
-        self.send(&tmp, dest, tag)
-    }
+    /// Backends gather straight into their transmit envelope and record one
+    /// logical message per span but a single envelope (see
+    /// `TrafficStats::envelopes_sent`).
+    fn send_vectored(&self, buf: &[u8], spans: &[IoSpan], dest: Rank, tag: Tag) -> Result<()>;
 
     /// Scattering receive: receive **one** message and split its bytes into
     /// `spans` of `buf` in list order (a `readv`-style iovec receive).
@@ -128,21 +119,14 @@ pub trait Communicator {
     /// short plain receive fills a prefix of the buffer; a longer one fails
     /// with [`CommError::Truncation`] against the span total.
     ///
-    /// The default implementation receives into a temporary and scatters;
-    /// backends override it to copy each segment directly out of the
-    /// matched envelope.
+    /// Backends copy each segment directly out of the matched envelope.
     fn recv_scattered(
         &self,
         buf: &mut [u8],
         spans: &[IoSpan],
         src: Rank,
         tag: Tag,
-    ) -> Result<usize> {
-        let total = validate_spans(buf.len(), spans)?;
-        let mut tmp = vec![0u8; total];
-        let n = self.recv(&mut tmp, src, tag)?;
-        Ok(scatter_spans(buf, spans, &tmp[..n]))
-    }
+    ) -> Result<usize>;
 
     /// Combined concurrent vectored send + scattering receive over disjoint
     /// span lists of the *same* user buffer — the coalescing ring's inner
@@ -179,30 +163,20 @@ pub trait Communicator {
     /// recorded against this rank's `bytes_copied`. Everything sent from the
     /// returned [`SharedBuf`] (or its [`slice`](SharedBuf::slice) sub-views)
     /// afterwards moves refcounts, not bytes.
-    ///
-    /// The default stages into a plain allocation; pooled backends override
-    /// it to rent from their buffer pool.
-    fn make_shared(&self, data: &[u8]) -> SharedBuf {
-        self.note_copy(data.len());
-        SharedBuf::from(data.to_vec())
-    }
+    fn make_shared(&self, data: &[u8]) -> SharedBuf;
 
     /// Record `bytes` of payload this rank memcpy'd *outside* the
     /// communicator — the collectives' final copy-out of a received
-    /// [`SharedBuf`] into the user buffer. Counting backends override this
-    /// to feed `TrafficStats::bytes_copied`; the default is a no-op.
-    fn note_copy(&self, _bytes: usize) {}
+    /// [`SharedBuf`] into the user buffer; it feeds
+    /// `TrafficStats::bytes_copied`.
+    fn note_copy(&self, bytes: usize);
 
     /// Zero-copy send: enqueue a refcount clone of `buf` for `dest` instead
     /// of staging the bytes into a fresh envelope.
     ///
     /// Wire accounting is identical to [`send`](Communicator::send) of the
-    /// same bytes — only `bytes_copied` differs. The default falls back to
-    /// copy semantics so decorators (retransmission, fault injection, rank
-    /// translation) keep working unchanged.
-    fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()> {
-        self.send(buf, dest, tag)
-    }
+    /// same bytes — only `bytes_copied` differs.
+    fn send_shared(&self, buf: &SharedBuf, dest: Rank, tag: Tag) -> Result<()>;
 
     /// Fan out one shared payload to several destinations — the broadcast
     /// hot loop. `dests` clones of one refcount; no bytes move on backends
@@ -222,12 +196,7 @@ pub trait Communicator {
     /// [`recv`](Communicator::recv) into a `capacity`-byte buffer. The
     /// returned view is immutable and may alias the sender's `SharedBuf`
     /// (that is the point); it returns to the owning pool when dropped.
-    fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SharedBuf> {
-        let mut tmp = vec![0u8; capacity];
-        let n = self.recv(&mut tmp, src, tag)?;
-        tmp.truncate(n);
-        Ok(SharedBuf::from(tmp))
-    }
+    fn recv_owned(&self, capacity: usize, src: Rank, tag: Tag) -> Result<SharedBuf>;
 
     /// Combined concurrent zero-copy exchange: forward `sendbuf` to `dest`
     /// while taking ownership of the envelope arriving from `src` — the
@@ -237,7 +206,6 @@ pub trait Communicator {
     /// Deadlock-freedom contract is that of
     /// [`sendrecv`](Communicator::sendrecv): both directions progress
     /// concurrently, so rings of rendezvous-sized exchanges cannot deadlock.
-    /// The default falls back to copy semantics via `sendrecv`.
     #[allow(clippy::too_many_arguments)]
     fn sendrecv_shared(
         &self,
@@ -247,12 +215,7 @@ pub trait Communicator {
         recv_capacity: usize,
         src: Rank,
         recvtag: Tag,
-    ) -> Result<SharedBuf> {
-        let mut tmp = vec![0u8; recv_capacity];
-        let n = self.sendrecv(sendbuf, dest, sendtag, &mut tmp, src, recvtag)?;
-        tmp.truncate(n);
-        Ok(SharedBuf::from(tmp))
-    }
+    ) -> Result<SharedBuf>;
 }
 
 /// One segment of a vectored operation: `count` bytes starting at byte

@@ -31,7 +31,9 @@
 //! Collective algorithms are written once against the trait and run unchanged
 //! on all of them, exactly like the paper's "user-level" implementation runs
 //! on both of its machines; [`SyncComm`] and [`complete_now`] bridge the
-//! blocking and async surfaces in either direction.
+//! blocking and async surfaces in either direction. The decorators
+//! ([`SubComm`], [`ReliableComm`]) implement only the async surface: a
+//! blocking caller wraps its communicator in [`SyncComm`] first.
 //!
 //! ## Example
 //!

@@ -2,8 +2,9 @@
 //! [`schedcheck::lint`] — raw `std::sync` lock primitives outside the sync
 //! layer, `.unwrap()`/`.expect()` in library code, undocumented `unsafe`,
 //! `let _ =` discarding a communication call's `Result`, per-chunk
-//! `comm.send(` loops in broadcast hot-path files, wall-clock reads and
-//! `HashMap`s inside the event executor, cancel-unsafe shapes in the
+//! `comm.send(` loops in broadcast hot-path files, wall-clock reads inside
+//! the event executor and the async decorators it runs, `HashMap`s inside
+//! the event executor, cancel-unsafe shapes in the
 //! async communication layer (unregistered `Poll::Pending`, `RefCell`
 //! borrows across suspension points, send effects inside `poll` bodies),
 //! and `.unwrap()`/`.expect()` on communication results inside the

@@ -33,7 +33,8 @@
 //! 6. [`check_real_time`] — the discrete-event executor
 //!    (`crates/mpsim/src/event_*.rs` — the reactor and every module split
 //!    out of it, currently `event_comm`, `event_mailbox`, `event_timer`)
-//!    must never read real time or sleep: `std::thread::sleep`,
+//!    and the async decorators it runs (`sub_comm`, `reliable`, `fault`,
+//!    `recovery`) must never read real time or sleep: `std::thread::sleep`,
 //!    `Instant::now`, and `SystemTime` would leak wall-clock nondeterminism
 //!    into a world whose whole contract is that fault delays and timeouts
 //!    are deterministic virtual-clock events. A deliberate exception
@@ -301,17 +302,32 @@ pub fn check_per_chunk_send(path: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Rule 6: real-time primitives inside the discrete-event executor. The
-/// event executor's contract is virtual-clock purity — every delay and
-/// timeout is an event timestamp, so the same world replays identically on
-/// every machine. Reading a wall clock (`Instant::now`, `SystemTime`) or
-/// sleeping (`std::thread::sleep`) inside `crates/mpsim/src/event_*.rs`
-/// breaks that replay guarantee. Test modules are exempt (same scoping as
+/// The discrete-event executor and the async decorators it runs, held to
+/// virtual-clock purity (rule 6). The decorators reach the blocking
+/// backends only through `SyncComm`, so every wait they express is
+/// arithmetic on the backend's `now_ns`.
+fn is_virtual_clock_path(path: &str) -> bool {
+    const DECORATORS: [&str; 4] = [
+        "crates/mpsim/src/reliable.rs",
+        "crates/mpsim/src/sub_comm.rs",
+        "crates/netsim/src/fault.rs",
+        "crates/core/src/recovery.rs",
+    ];
+    let event_executor = path.starts_with("crates/mpsim/src/event_") && path.ends_with(".rs");
+    event_executor || DECORATORS.contains(&path)
+}
+
+/// Rule 6: real-time primitives inside the discrete-event executor and the
+/// async decorators it runs. The event executor's contract is virtual-clock
+/// purity — every delay and timeout is an event timestamp, so the same
+/// world replays identically on every machine. Reading a wall clock
+/// (`Instant::now`, `SystemTime`) or sleeping (`std::thread::sleep`) inside
+/// `crates/mpsim/src/event_*.rs` or one of those decorators breaks that
+/// replay guarantee. Test modules are exempt (same scoping as
 /// [`check_panics`]); a deliberate exception carries a
 /// `// lint: allow(real-time)` marker on the same or the preceding line.
 pub fn check_real_time(path: &str, content: &str) -> Vec<LintHit> {
-    let in_event_executor = path.starts_with("crates/mpsim/src/event_") && path.ends_with(".rs");
-    if !in_event_executor {
+    if !is_virtual_clock_path(path) {
         return Vec::new();
     }
     let body = match content.find("#[cfg(test)]") {
@@ -659,9 +675,17 @@ mod tests {
         assert_eq!(check_real_time("crates/mpsim/src/event_comm.rs", instant).len(), 1);
         let systime = "let wall = std::time::SystemTime::now();\n";
         assert_eq!(check_real_time("crates/mpsim/src/event_reactor.rs", systime).len(), 1);
-        // Only the event executor is held to virtual-clock purity.
+        // The event executor and the async decorators it runs are held to
+        // virtual-clock purity; the threaded backend is not.
         assert!(check_real_time("crates/mpsim/src/thread_comm.rs", sleepy).is_empty());
-        assert!(check_real_time("crates/mpsim/src/reliable.rs", instant).is_empty());
+        for decorator in [
+            "crates/mpsim/src/reliable.rs",
+            "crates/mpsim/src/sub_comm.rs",
+            "crates/netsim/src/fault.rs",
+            "crates/core/src/recovery.rs",
+        ] {
+            assert_eq!(check_real_time(decorator, instant).len(), 1, "{decorator}");
+        }
         // Comments, test modules, and marked lines are exempt.
         let comment = "// Instant::now is banned here\n";
         assert!(check_real_time("crates/mpsim/src/event_comm.rs", comment).is_empty());

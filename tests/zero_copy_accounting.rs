@@ -19,6 +19,9 @@
 //!   envelope for both phases, so the root's entire bill is one `nbytes`.
 //! * **Scatter + recursive doubling**: ≤ `3·nbytes` per rank (the doubling
 //!   exchange is a copying `sendrecv`, paying both directions).
+//! * **Single-node SMP**: one `SubComm` holding the whole world runs the
+//!   same binomial tree as the flat broadcast, so the bill is the flat one —
+//!   the sub-communicator forwards the zero-copy surface untouched.
 //!
 //! The same ceilings are enforced a second way through
 //! `schedcheck::reconcile_traffic`, here driven by real `ThreadWorld` and
@@ -27,8 +30,8 @@
 
 use bcast_core::bcast::bcast_schedule;
 use bcast_core::{
-    bcast_binomial, bcast_binomial_copy, bcast_coalesced_event_world, bcast_event_world,
-    bcast_with, Algorithm, CoalescePolicy,
+    bcast_binomial, bcast_binomial_copy, bcast_coalesced_event_world, bcast_event_world, bcast_smp,
+    bcast_with, Algorithm, CoalescePolicy, NodeMap,
 };
 use mpsim::{Communicator, ThreadWorld, WorldTraffic};
 use schedcheck::{copy_ceiling_per_rank, reconcile_traffic};
@@ -59,6 +62,34 @@ fn binomial_zero_copy_bill_is_exactly_nbytes_per_rank() {
                 st.bytes_copied, nbytes as u64,
                 "P={size} root={root} rank={rank}: binomial must pay exactly one \
                  staging (root) or landing (non-root) copy"
+            );
+        }
+    }
+}
+
+#[test]
+fn single_node_smp_pays_the_flat_binomial_bill() {
+    let nbytes = 512;
+    let src = pattern(nbytes);
+    for &(size, root) in &[(8usize, 0usize), (8, 3), (8, 7), (11, 0), (11, 4), (11, 10)] {
+        let smp = ThreadWorld::run(size, |comm| {
+            let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
+            let nodes = NodeMap::new(size);
+            bcast_smp(comm, &mut buf, root, &nodes, Algorithm::ScatterRingTuned).unwrap();
+            assert_eq!(buf, src, "rank {} diverged", comm.rank());
+        })
+        .traffic;
+        let flat = run_thread(size, nbytes, root, Algorithm::Binomial);
+        for (rank, (s, f)) in smp.per_rank.iter().zip(&flat.per_rank).enumerate() {
+            assert_eq!(
+                s.bytes_copied, nbytes as u64,
+                "P={size} root={root} rank={rank}: single-node smp must pay the flat \
+                 binomial's one staging or landing copy"
+            );
+            assert_eq!(
+                (s.msgs_sent, s.bytes_sent, s.msgs_recvd, s.bytes_recvd),
+                (f.msgs_sent, f.bytes_sent, f.msgs_recvd, f.bytes_recvd),
+                "P={size} root={root} rank={rank}: smp wire traffic differs from flat binomial"
             );
         }
     }
