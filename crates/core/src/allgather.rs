@@ -21,10 +21,12 @@
 //! * [`allgather_auto`] — MPICH's dispatcher over the above.
 
 use mpsim::{
-    ceil_log2, is_pof2, ring_left, ring_right, split_send_recv, Communicator, Result, Tag,
+    ceil_log2, complete_now, is_pof2, AsyncCommunicator, Communicator, Result, SyncComm, Tag,
 };
 
 use crate::chunks::ChunkLayout;
+use crate::rd_allgather::{append_rd_ops, rd_allgather_async};
+use crate::ring::{append_native_ring_ops, ring_allgather_native_async};
 use crate::schedule::{Loc, Schedule, ScheduleSource};
 
 /// MPICH's allgather switching thresholds, in *total* gathered bytes
@@ -73,14 +75,20 @@ pub fn select_allgather(
     }
 }
 
-fn check_args(comm: &(impl Communicator + ?Sized), sendbuf: &[u8], recvbuf: &[u8]) -> Result<()> {
-    let size = comm.size();
+fn check_args(size: usize, sendbuf: &[u8], recvbuf: &[u8]) {
     assert_eq!(
         recvbuf.len(),
         sendbuf.len() * size,
         "allgather receive buffer must hold size × block bytes"
     );
-    Ok(())
+}
+
+/// Copy this rank's block into its slot of `recvbuf` — the initial state of
+/// an allgather, where rank `r` holds block `r` and nothing else.
+fn place_own_block(rank: usize, size: usize, sendbuf: &[u8], recvbuf: &mut [u8]) {
+    check_args(size, sendbuf, recvbuf);
+    let block = sendbuf.len();
+    recvbuf[rank * block..(rank + 1) * block].copy_from_slice(sendbuf);
 }
 
 /// Ring allgather: at step `i`, forward the block received at step `i−1`
@@ -90,35 +98,19 @@ pub fn allgather_ring(
     sendbuf: &[u8],
     recvbuf: &mut [u8],
 ) -> Result<()> {
-    check_args(comm, sendbuf, recvbuf)?;
-    let size = comm.size();
-    let rank = comm.rank();
-    let block = sendbuf.len();
-    let layout = ChunkLayout::new(block * size, size);
+    complete_now(allgather_ring_async(&SyncComm::new(comm), sendbuf, recvbuf))
+}
 
-    recvbuf[layout.range(rank)].copy_from_slice(sendbuf);
-    if size == 1 {
-        return Ok(());
-    }
-    let left = ring_left(rank, size);
-    let right = ring_right(rank, size);
-    let mut j = rank;
-    let mut jnext = left;
-    for _ in 1..size {
-        let send_range = layout.range(j);
-        let recv_range = layout.range(jnext);
-        let (sb, rb) = split_send_recv(
-            recvbuf,
-            send_range.start,
-            send_range.len(),
-            recv_range.start,
-            recv_range.len(),
-        )?;
-        comm.sendrecv(sb, right, Tag::ALLGATHER, rb, left, Tag::ALLGATHER)?;
-        j = jnext;
-        jnext = ring_left(jnext, size);
-    }
-    Ok(())
+/// Async core of [`allgather_ring`]: the broadcast's enclosed ring
+/// ([`ring_allgather_native_async`]) rooted at rank 0, whose walk starts
+/// from exactly one block per rank — the allgather's initial state.
+pub async fn allgather_ring_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+) -> Result<()> {
+    place_own_block(comm.rank(), comm.size(), sendbuf, recvbuf);
+    ring_allgather_native_async(comm, recvbuf, 0).await
 }
 
 /// Recursive-doubling allgather: `log2 P` pairwise block-interval exchanges.
@@ -131,34 +123,22 @@ pub fn allgather_rd(
     sendbuf: &[u8],
     recvbuf: &mut [u8],
 ) -> Result<()> {
-    check_args(comm, sendbuf, recvbuf)?;
-    let size = comm.size();
-    assert!(is_pof2(size), "recursive-doubling allgather requires a power-of-two world");
-    let rank = comm.rank();
-    let block = sendbuf.len();
-    let layout = ChunkLayout::new(block * size, size);
+    complete_now(allgather_rd_async(&SyncComm::new(comm), sendbuf, recvbuf))
+}
 
-    recvbuf[layout.range(rank)].copy_from_slice(sendbuf);
-    let mut mask = 1usize;
-    let mut round = 0u32;
-    while mask < size {
-        let partner = rank ^ mask;
-        let my_block = (rank >> round) << round;
-        let partner_block = (partner >> round) << round;
-        let send_span = layout.span(my_block..my_block + mask);
-        let recv_span = layout.span(partner_block..partner_block + mask);
-        let (sb, rb) = split_send_recv(
-            recvbuf,
-            send_span.start,
-            send_span.len(),
-            recv_span.start,
-            recv_span.len(),
-        )?;
-        comm.sendrecv(sb, partner, Tag::ALLGATHER, rb, partner, Tag::ALLGATHER)?;
-        mask <<= 1;
-        round += 1;
-    }
-    Ok(())
+/// Async core of [`allgather_rd`]: the broadcast's recursive-doubling walk
+/// ([`rd_allgather_async`]) rooted at rank 0.
+///
+/// # Panics
+///
+/// Panics on non-power-of-two worlds, like the sync wrapper.
+pub async fn allgather_rd_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+) -> Result<()> {
+    place_own_block(comm.rank(), comm.size(), sendbuf, recvbuf);
+    rd_allgather_async(comm, recvbuf, 0).await
 }
 
 /// Bruck allgather: `ceil(log2 P)` doubling steps on a rank-rotated layout,
@@ -168,8 +148,17 @@ pub fn allgather_bruck(
     sendbuf: &[u8],
     recvbuf: &mut [u8],
 ) -> Result<()> {
-    check_args(comm, sendbuf, recvbuf)?;
+    complete_now(allgather_bruck_async(&SyncComm::new(comm), sendbuf, recvbuf))
+}
+
+/// Async core of [`allgather_bruck`].
+pub async fn allgather_bruck_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+) -> Result<()> {
     let size = comm.size();
+    check_args(size, sendbuf, recvbuf);
     let rank = comm.rank();
     let block = sendbuf.len();
 
@@ -187,14 +176,8 @@ pub fn allgather_bruck(
         let tag = Tag(Tag::ALLGATHER.0 + 1 + k);
         let (lo, hi) = tmp.split_at_mut(have * block);
         // Send my first `count` blocks; receive the next `count` blocks.
-        comm.sendrecv(
-            &lo[..count * block],
-            send_to,
-            tag,
-            &mut hi[..count * block],
-            recv_from,
-            tag,
-        )?;
+        comm.sendrecv(&lo[..count * block], send_to, tag, &mut hi[..count * block], recv_from, tag)
+            .await?;
         have += count;
         if have == size {
             break;
@@ -218,75 +201,48 @@ pub fn allgather_auto(
     recvbuf: &mut [u8],
     th: &AllgatherThresholds,
 ) -> Result<()> {
+    complete_now(allgather_auto_async(&SyncComm::new(comm), sendbuf, recvbuf, th))
+}
+
+/// Async core of [`allgather_auto`].
+pub async fn allgather_auto_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+    th: &AllgatherThresholds,
+) -> Result<()> {
     match select_allgather(sendbuf.len() * comm.size(), comm.size(), th) {
-        AllgatherAlgorithm::RecursiveDoubling => allgather_rd(comm, sendbuf, recvbuf),
-        AllgatherAlgorithm::Bruck => allgather_bruck(comm, sendbuf, recvbuf),
-        AllgatherAlgorithm::Ring => allgather_ring(comm, sendbuf, recvbuf),
+        AllgatherAlgorithm::RecursiveDoubling => allgather_rd_async(comm, sendbuf, recvbuf).await,
+        AllgatherAlgorithm::Bruck => allgather_bruck_async(comm, sendbuf, recvbuf).await,
+        AllgatherAlgorithm::Ring => allgather_ring_async(comm, sendbuf, recvbuf).await,
     }
 }
 
 /// Emit the symbolic schedule of [`allgather_ring`] for `block` bytes per
-/// rank. The local copy of the own block becomes initial validity.
+/// rank: the own-block copy becomes initial validity, then the broadcast's
+/// enclosed-ring ops at root 0.
 pub fn allgather_ring_schedule(p: usize, block: usize) -> Schedule {
-    let layout = ChunkLayout::new(block * p, p);
-    let mut s = Schedule::new("allgather/ring", p, block * p);
-    for rank in 0..p {
-        s.ranks[rank].mark_valid(layout.range(rank));
-        s.ranks[rank].require(0..block * p);
-    }
-    if p == 1 {
-        return s;
-    }
-    for rank in 0..p {
-        let left = ring_left(rank, p);
-        let right = ring_right(rank, p);
-        let mut j = rank;
-        let mut jnext = left;
-        for _ in 1..p {
-            s.ranks[rank].sendrecv(
-                "ring",
-                right,
-                Tag::ALLGATHER,
-                Loc::Buf(layout.range(j)),
-                left,
-                Tag::ALLGATHER,
-                Loc::Buf(layout.range(jnext)),
-            );
-            j = jnext;
-            jnext = ring_left(jnext, p);
-        }
-    }
+    let mut s = own_block_schedule("allgather/ring", p, block);
+    append_native_ring_ops(&mut s, 0);
     s
 }
 
-/// Emit the symbolic schedule of [`allgather_rd`] (power-of-two worlds).
+/// Emit the symbolic schedule of [`allgather_rd`] (power-of-two worlds): the
+/// broadcast's recursive-doubling ops at root 0.
 pub fn allgather_rd_schedule(p: usize, block: usize) -> Schedule {
-    assert!(is_pof2(p), "recursive-doubling allgather requires a power-of-two world");
+    let mut s = own_block_schedule("allgather/rd", p, block);
+    append_rd_ops(&mut s, 0);
+    s
+}
+
+/// An allgather schedule with no ops yet: every rank holds its own block
+/// and must end holding all `P`.
+fn own_block_schedule(name: &'static str, p: usize, block: usize) -> Schedule {
     let layout = ChunkLayout::new(block * p, p);
-    let mut s = Schedule::new("allgather/rd", p, block * p);
+    let mut s = Schedule::new(name, p, block * p);
     for rank in 0..p {
         s.ranks[rank].mark_valid(layout.range(rank));
         s.ranks[rank].require(0..block * p);
-    }
-    for rank in 0..p {
-        let mut mask = 1usize;
-        let mut round = 0u32;
-        while mask < p {
-            let partner = rank ^ mask;
-            let my_block = (rank >> round) << round;
-            let partner_block = (partner >> round) << round;
-            s.ranks[rank].sendrecv(
-                "rd",
-                partner,
-                Tag::ALLGATHER,
-                Loc::Buf(layout.span(my_block..my_block + mask)),
-                partner,
-                Tag::ALLGATHER,
-                Loc::Buf(layout.span(partner_block..partner_block + mask)),
-            );
-            mask <<= 1;
-            round += 1;
-        }
     }
     s
 }

@@ -13,7 +13,7 @@
 //! order; after the call `recvbuf[j]`-th block is the block rank `j`
 //! addressed to us.
 
-use mpsim::{is_pof2, Communicator, Result, Tag};
+use mpsim::{complete_now, is_pof2, AsyncCommunicator, Communicator, Result, SyncComm, Tag};
 
 use crate::schedule::{Loc, Schedule, ScheduleSource};
 
@@ -22,8 +22,7 @@ pub const ALLTOALL_SHORT_BLOCK: usize = 256;
 
 const A2A: Tag = Tag(0xF0);
 
-fn check(comm: &(impl Communicator + ?Sized), sendbuf: &[u8], recvbuf: &[u8]) -> usize {
-    let size = comm.size();
+fn check(size: usize, sendbuf: &[u8], recvbuf: &[u8]) -> usize {
     assert_eq!(sendbuf.len(), recvbuf.len(), "alltoall buffers must match");
     assert_eq!(sendbuf.len() % size, 0, "alltoall buffers must hold P equal blocks");
     sendbuf.len() / size
@@ -35,8 +34,17 @@ pub fn alltoall_pairwise(
     sendbuf: &[u8],
     recvbuf: &mut [u8],
 ) -> Result<()> {
-    let block = check(comm, sendbuf, recvbuf);
+    complete_now(alltoall_pairwise_async(&SyncComm::new(comm), sendbuf, recvbuf))
+}
+
+/// Async core of [`alltoall_pairwise`].
+pub async fn alltoall_pairwise_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+) -> Result<()> {
     let size = comm.size();
+    let block = check(size, sendbuf, recvbuf);
     let rank = comm.rank();
 
     // own block copies locally
@@ -58,7 +66,8 @@ pub fn alltoall_pairwise(
             &mut recvbuf[recv_from * block..(recv_from + 1) * block],
             recv_from,
             A2A,
-        )?;
+        )
+        .await?;
     }
     Ok(())
 }
@@ -69,8 +78,17 @@ pub fn alltoall_bruck(
     sendbuf: &[u8],
     recvbuf: &mut [u8],
 ) -> Result<()> {
-    let block = check(comm, sendbuf, recvbuf);
+    complete_now(alltoall_bruck_async(&SyncComm::new(comm), sendbuf, recvbuf))
+}
+
+/// Async core of [`alltoall_bruck`].
+pub async fn alltoall_bruck_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+) -> Result<()> {
     let size = comm.size();
+    let block = check(size, sendbuf, recvbuf);
     let rank = comm.rank();
     if size == 1 {
         recvbuf.copy_from_slice(sendbuf);
@@ -101,7 +119,7 @@ pub fn alltoall_bruck(
         let to = (rank + bit) % size;
         let from = (rank + size - bit) % size;
         let tag = Tag(A2A.0 + 1 + round);
-        let n = comm.sendrecv(&gather, to, tag, &mut incoming, from, tag)?;
+        let n = comm.sendrecv(&gather, to, tag, &mut incoming, from, tag).await?;
         debug_assert_eq!(n, slots.len() * block);
         for (idx, &k) in slots.iter().enumerate() {
             work[k * block..(k + 1) * block]
@@ -126,11 +144,20 @@ pub fn alltoall_auto(
     sendbuf: &[u8],
     recvbuf: &mut [u8],
 ) -> Result<()> {
+    complete_now(alltoall_auto_async(&SyncComm::new(comm), sendbuf, recvbuf))
+}
+
+/// Async core of [`alltoall_auto`].
+pub async fn alltoall_auto_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+) -> Result<()> {
     let size = comm.size().max(1);
     if sendbuf.len() / size < ALLTOALL_SHORT_BLOCK {
-        alltoall_bruck(comm, sendbuf, recvbuf)
+        alltoall_bruck_async(comm, sendbuf, recvbuf).await
     } else {
-        alltoall_pairwise(comm, sendbuf, recvbuf)
+        alltoall_pairwise_async(comm, sendbuf, recvbuf).await
     }
 }
 

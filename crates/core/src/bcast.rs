@@ -133,29 +133,6 @@ pub async fn bcast_opt_async<C: AsyncCommunicator + ?Sized>(
     ring_allgather_tuned_async(comm, buf, root).await
 }
 
-/// Root-side [`bcast_opt`] over an **immutable** source: the root only ever
-/// reads its buffer in both phases (it never receives in the binomial
-/// scatter and is `SendOnly` from step one of the tuned ring), so it can
-/// broadcast straight from a shared slice instead of a defensive clone.
-/// Non-root ranks keep calling [`bcast_opt`].
-pub fn bcast_opt_root(comm: &(impl Communicator + ?Sized), src: &[u8], root: Rank) -> Result<()> {
-    complete_now(bcast_opt_root_async(&SyncComm::new(comm), src, root))
-}
-
-/// Async core of [`bcast_opt_root`] over any [`AsyncCommunicator`].
-///
-/// Stages `src` into **one** shared envelope and feeds refcounted
-/// sub-views of it to both phases, so the root's entire copy bill for the
-/// broadcast is the single `nbytes` staging pass.
-pub async fn bcast_opt_root_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    src: &[u8],
-    root: Rank,
-) -> Result<()> {
-    let shared = comm.make_shared(src);
-    bcast_opt_shared_async(comm, &shared, root).await
-}
-
 /// Root-side [`bcast_opt`] from an **already-shared** envelope: both phases
 /// send [`SharedBuf::slice`] sub-views of `src`, copying nothing at all.
 /// Callers that already hold the payload in a [`SharedBuf`] (e.g. the

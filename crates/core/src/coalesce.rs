@@ -41,7 +41,7 @@ use mpsim::{
 use crate::chunks::ChunkLayout;
 use crate::ring::ring_step_chunks;
 use crate::ring_tuned::{step_flag, Endpoint};
-use crate::scatter::{binomial_scatter_async, binomial_scatter_root_async};
+use crate::scatter::binomial_scatter_async;
 
 /// Tuning knobs of the coalescing ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,49 +285,6 @@ pub async fn bcast_opt_coalesced_async<C: AsyncCommunicator + ?Sized>(
     ring_allgather_tuned_coalesced_async(comm, buf, root, policy).await
 }
 
-/// Root-side [`bcast_opt_coalesced`]: the root only ever *reads* its buffer
-/// in both phases, so it broadcasts straight from a shared slice.
-pub fn bcast_opt_coalesced_root(
-    comm: &(impl Communicator + ?Sized),
-    src: &[u8],
-    root: Rank,
-    policy: &CoalescePolicy,
-) -> Result<()> {
-    complete_now(bcast_opt_coalesced_root_async(&SyncComm::new(comm), src, root, policy))
-}
-
-/// Async core of [`bcast_opt_coalesced_root`] — see
-/// [`ring_allgather_tuned_coalesced_async`].
-pub async fn bcast_opt_coalesced_root_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    src: &[u8],
-    root: Rank,
-    policy: &CoalescePolicy,
-) -> Result<()> {
-    binomial_scatter_root_async(comm, src, root).await?;
-    let size = comm.size();
-    if size == 1 {
-        return Ok(());
-    }
-    let layout = ChunkLayout::new(src.len(), size);
-    // The root is rel 0 → (size, SendOnly): it degrades immediately and
-    // every outbound chunk is already in `src`.
-    match tail_merge(&layout, 0, size, size, Endpoint::SendOnly, policy) {
-        Some((_, spans)) => {
-            comm.send_vectored(src, &spans, ring_right(root, size), Tag::ALLGATHER).await
-        }
-        None => {
-            for i in 1..size {
-                let (send_chunk, _) = ring_step_chunks(0, size, i);
-                for unit in chunk_units(&layout, send_chunk, policy) {
-                    comm.send_vectored(src, &unit, ring_right(root, size), Tag::ALLGATHER).await?;
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
 /// Closed-form envelope count of the coalescing ring under
 /// [`CoalescePolicy::unlimited`]: the tuned ring's transfer count minus the
 /// lone sends each SendOnly rank's merged tail saves.
@@ -475,14 +432,9 @@ mod tests {
         let src = pattern(nbytes);
         let policy = CoalescePolicy::unlimited();
         let out = ThreadWorld::run(size, |comm| {
-            if comm.rank() == root {
-                bcast_opt_coalesced_root(comm, &src, root, &policy).unwrap();
-                src.clone()
-            } else {
-                let mut buf = vec![0u8; nbytes];
-                bcast_opt_coalesced(comm, &mut buf, root, &policy).unwrap();
-                buf
-            }
+            let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
+            bcast_opt_coalesced(comm, &mut buf, root, &policy).unwrap();
+            buf
         });
         assert!(out.results.iter().all(|b| b == &src));
         assert_eq!(out.traffic.total_msgs(), 75 + 9);

@@ -13,7 +13,9 @@
 //! skipping exactly the redundant transfers while keeping the same `P−1`
 //! step count and deadlock-free matching.
 //!
-//! This crate implements, against the [`mpsim::Communicator`] trait:
+//! This crate implements, each as one async core over
+//! [`mpsim::AsyncCommunicator`] with a blocking [`mpsim::Communicator`]
+//! wrapper of the same name minus the `_async` suffix:
 //!
 //! * the paper's contribution: [`ring_tuned::ring_allgather_tuned`] /
 //!   [`bcast::bcast_opt`],
@@ -79,16 +81,16 @@ pub mod verify;
 
 pub use bcast::{
     bcast_auto, bcast_auto_async, bcast_native, bcast_native_async, bcast_opt, bcast_opt_async,
-    bcast_opt_root, bcast_opt_root_async, bcast_opt_shared_async, bcast_with, bcast_with_async,
-    select_algorithm, Algorithm, Regime, Thresholds,
+    bcast_opt_shared_async, bcast_with, bcast_with_async, select_algorithm, Algorithm, Regime,
+    Thresholds,
 };
 pub use binomial::{
     bcast_binomial, bcast_binomial_async, bcast_binomial_copy, bcast_binomial_copy_async,
 };
 pub use chunks::ChunkLayout;
 pub use coalesce::{
-    bcast_opt_coalesced, bcast_opt_coalesced_async, bcast_opt_coalesced_root,
-    coalesced_envelope_count, ring_allgather_tuned_coalesced, CoalescePolicy,
+    bcast_opt_coalesced, bcast_opt_coalesced_async, coalesced_envelope_count,
+    ring_allgather_tuned_coalesced, CoalescePolicy,
 };
 pub use event_launch::{
     bcast_coalesced_event_world, bcast_event_world, check_recovery_outcome,
@@ -100,9 +102,7 @@ pub use recovery::{
     self_healing_bcast_async, self_healing_bcast_traced_async, EpochComm, GuardedComm, Healed,
     RecoveryConfig, RecoveryDrill, RecoveryTrace,
 };
-pub use ring_tuned::{
-    ring_allgather_tuned_root, ring_allgather_tuned_shared_async, step_flag, Endpoint,
-};
-pub use scatter::{binomial_scatter_root, binomial_scatter_shared_async, owned_chunks};
+pub use ring_tuned::{ring_allgather_tuned_shared_async, step_flag, Endpoint};
+pub use scatter::{binomial_scatter_shared_async, owned_chunks};
 pub use schedule::{all_sources, Loc, RankSchedule, SchedOp, Schedule, ScheduleSource};
 pub use smp::{bcast_smp, bcast_smp_async, NodeMap};

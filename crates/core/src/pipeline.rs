@@ -9,7 +9,10 @@
 //! while receiving segment `s+1` — after the `P−1`-hop fill, every link of
 //! the chain streams at full bandwidth.
 
-use mpsim::{absolute_rank, relative_rank, NonBlocking, Rank, Result, Tag};
+use mpsim::{
+    absolute_rank, complete_now, relative_rank, AsyncNonBlocking, NonBlocking, Rank, Result,
+    SyncComm, Tag,
+};
 
 use crate::schedule::{Loc, Schedule, ScheduleSource};
 
@@ -19,7 +22,19 @@ use crate::schedule::{Loc, Schedule, ScheduleSource};
 /// `(P−1) · ceil(n / segment)`; every byte crosses every link exactly once
 /// (total `(P−1) · n` bytes, the same as binomial — the win is pipelining,
 /// not volume).
-pub fn bcast_pipeline<C: NonBlocking>(
+pub fn bcast_pipeline<C: NonBlocking + ?Sized>(
+    comm: &C,
+    buf: &mut [u8],
+    root: Rank,
+    segment: usize,
+) -> Result<()> {
+    complete_now(bcast_pipeline_async(&SyncComm::new(comm), buf, root, segment))
+}
+
+/// Async core of [`bcast_pipeline`] over any [`AsyncNonBlocking`]
+/// communicator: the forward of segment `s` is posted with `isend` and only
+/// waited on after segment `s+1` has been received.
+pub async fn bcast_pipeline_async<C: AsyncNonBlocking + ?Sized>(
     comm: &C,
     buf: &mut [u8],
     root: Rank,
@@ -41,20 +56,20 @@ pub fn bcast_pipeline<C: NonBlocking>(
     while offset < nbytes {
         let end = (offset + segment).min(nbytes);
         if let Some(p) = prev {
-            comm.recv(&mut buf[offset..end], p, Tag::BCAST)?;
+            comm.recv(&mut buf[offset..end], p, Tag::BCAST).await?;
         }
         if let Some(n) = next {
             // Let the previous segment's forward drain before reusing the
             // handle; the transfer itself overlaps with our next receive.
             if let Some(sp) = pending.take() {
-                comm.wait_send(sp)?;
+                comm.wait_send(sp).await?;
             }
             pending = Some(comm.isend(&buf[offset..end], n, Tag::BCAST)?);
         }
         offset = end;
     }
     if let Some(sp) = pending {
-        comm.wait_send(sp)?;
+        comm.wait_send(sp).await?;
     }
     Ok(())
 }

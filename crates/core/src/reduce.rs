@@ -19,9 +19,13 @@
 //!   allgather: the long-message allreduce (falls back to [`allreduce_rd`]
 //!   when blocks don't divide evenly or the world is not a power of two).
 
-use mpsim::{absolute_rank, is_pof2, relative_rank, Communicator, Rank, Result, Tag};
+use mpsim::{
+    absolute_rank, complete_now, is_pof2, relative_rank, AsyncCommunicator, Communicator, Rank,
+    Result, SyncComm, Tag,
+};
 
 use crate::dtype::{combine_into, decode, encode, Dtype};
+use crate::rd_allgather::rd_allgather_async;
 use crate::schedule::{Loc, Schedule, ScheduleSource};
 
 /// Tag block reserved for reductions.
@@ -34,6 +38,17 @@ const RS: Tag = Tag(0xE2);
 /// `recvbuf` contents are unspecified (pass an empty slice there).
 pub fn reduce_binomial<T: Dtype>(
     comm: &(impl Communicator + ?Sized),
+    sendbuf: &[T],
+    recvbuf: &mut [T],
+    op: impl Fn(T, T) -> T + Copy,
+    root: Rank,
+) -> Result<()> {
+    complete_now(reduce_binomial_async(&SyncComm::new(comm), sendbuf, recvbuf, op, root))
+}
+
+/// Async core of [`reduce_binomial`].
+pub async fn reduce_binomial_async<T: Dtype, C: AsyncCommunicator + ?Sized>(
+    comm: &C,
     sendbuf: &[T],
     recvbuf: &mut [T],
     op: impl Fn(T, T) -> T + Copy,
@@ -55,13 +70,13 @@ pub fn reduce_binomial<T: Dtype>(
     while mask < size {
         if relative & mask != 0 {
             let parent = absolute_rank(relative - mask, root, size);
-            comm.send(&acc, parent, REDUCE)?;
+            comm.send(&acc, parent, REDUCE).await?;
             break;
         }
         let child_rel = relative + mask;
         if child_rel < size {
             let child = absolute_rank(child_rel, root, size);
-            let got = comm.recv(&mut incoming, child, REDUCE)?;
+            let got = comm.recv(&mut incoming, child, REDUCE).await?;
             debug_assert_eq!(got, acc.len());
             combine_into::<T>(&mut acc, &incoming, op);
         }
@@ -96,6 +111,15 @@ pub fn allreduce_rd<T: Dtype>(
     buf: &mut [T],
     op: impl Fn(T, T) -> T + Copy,
 ) -> Result<()> {
+    complete_now(allreduce_rd_async(&SyncComm::new(comm), buf, op))
+}
+
+/// Async core of [`allreduce_rd`].
+pub async fn allreduce_rd_async<T: Dtype, C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    buf: &mut [T],
+    op: impl Fn(T, T) -> T + Copy,
+) -> Result<()> {
     let size = comm.size();
     if size == 1 {
         return Ok(());
@@ -111,10 +135,10 @@ pub fn allreduce_rd<T: Dtype>(
     // neighbour and drop out of the exchange.
     let newrank = if rank < 2 * rem {
         if rank.is_multiple_of(2) {
-            comm.send(&acc, rank + 1, ALLREDUCE)?;
+            comm.send(&acc, rank + 1, ALLREDUCE).await?;
             None
         } else {
-            comm.recv(&mut incoming, rank - 1, ALLREDUCE)?;
+            comm.recv(&mut incoming, rank - 1, ALLREDUCE).await?;
             combine_into::<T>(&mut acc, &incoming, op);
             Some(rank / 2)
         }
@@ -127,7 +151,7 @@ pub fn allreduce_rd<T: Dtype>(
         let mut mask = 1usize;
         while mask < pof2 {
             let partner = unfold(nr ^ mask, rem);
-            comm.sendrecv(&acc, partner, ALLREDUCE, &mut incoming, partner, ALLREDUCE)?;
+            comm.sendrecv(&acc, partner, ALLREDUCE, &mut incoming, partner, ALLREDUCE).await?;
             combine_into::<T>(&mut acc, &incoming, op);
             mask <<= 1;
         }
@@ -136,9 +160,9 @@ pub fn allreduce_rd<T: Dtype>(
     // Fold-out: odds hand the finished result back to their even neighbour.
     if rank < 2 * rem {
         if rank.is_multiple_of(2) {
-            comm.recv(&mut acc, rank + 1, ALLREDUCE)?;
+            comm.recv(&mut acc, rank + 1, ALLREDUCE).await?;
         } else {
-            comm.send(&acc, rank - 1, ALLREDUCE)?;
+            comm.send(&acc, rank - 1, ALLREDUCE).await?;
         }
     }
 
@@ -156,6 +180,20 @@ pub fn allreduce_rd<T: Dtype>(
 /// `sendbuf.len() == recvbuf.len() × P` — the regime MPICH uses it in.
 pub fn reduce_scatter_block_rh<T: Dtype>(
     comm: &(impl Communicator + ?Sized),
+    sendbuf: &[T],
+    recvbuf: &mut [T],
+    op: impl Fn(T, T) -> T + Copy,
+) -> Result<()> {
+    complete_now(reduce_scatter_block_rh_async(&SyncComm::new(comm), sendbuf, recvbuf, op))
+}
+
+/// Async core of [`reduce_scatter_block_rh`].
+///
+/// # Panics
+///
+/// Panics under the same conditions as the sync wrapper.
+pub async fn reduce_scatter_block_rh_async<T: Dtype, C: AsyncCommunicator + ?Sized>(
+    comm: &C,
     sendbuf: &[T],
     recvbuf: &mut [T],
     op: impl Fn(T, T) -> T + Copy,
@@ -183,7 +221,7 @@ pub fn reduce_scatter_block_rh<T: Dtype>(
         let give_bytes = (give.1 - give.0) * block * elem;
         let keep_bytes = (keep.1 - keep.0) * block * elem;
         let (gs, ge) = (give.0 * block * elem, give.1 * block * elem);
-        comm.sendrecv(&acc[gs..ge], partner, RS, &mut incoming[..keep_bytes], partner, RS)?;
+        comm.sendrecv(&acc[gs..ge], partner, RS, &mut incoming[..keep_bytes], partner, RS).await?;
         debug_assert_eq!(give_bytes + keep_bytes, (hi - lo) * block * elem);
         let (ks, ke) = (keep.0 * block * elem, keep.1 * block * elem);
         let mut kept = acc[ks..ke].to_vec();
@@ -207,39 +245,35 @@ pub fn allreduce_rabenseifner<T: Dtype>(
     buf: &mut [T],
     op: impl Fn(T, T) -> T + Copy,
 ) -> Result<()> {
+    complete_now(allreduce_rabenseifner_async(&SyncComm::new(comm), buf, op))
+}
+
+/// Async core of [`allreduce_rabenseifner`]: the allgather phase is the
+/// broadcast's recursive-doubling walk ([`rd_allgather_async`]) at root 0
+/// over the encoded blocks.
+pub async fn allreduce_rabenseifner_async<T: Dtype, C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    buf: &mut [T],
+    op: impl Fn(T, T) -> T + Copy,
+) -> Result<()> {
     let size = comm.size();
     if size == 1 {
         return Ok(());
     }
     if !is_pof2(size) || !buf.len().is_multiple_of(size) {
-        return allreduce_rd(comm, buf, op);
+        return allreduce_rd_async(comm, buf, op).await;
     }
     let block = buf.len() / size;
     if block == 0 {
         return Ok(()); // nothing to reduce
     }
     let mut mine = vec![buf[0]; block];
-    reduce_scatter_block_rh(comm, buf, &mut mine, op)?;
+    reduce_scatter_block_rh_async(comm, buf, &mut mine, op).await?;
 
-    // Allgather the reduced blocks back (recursive doubling over bytes).
     let mut bytes = vec![0u8; buf.len() * T::SIZE];
-    let mine_bytes = encode(&mine);
-    let rank = comm.rank();
-    let elem = T::SIZE;
-    bytes[rank * block * elem..(rank + 1) * block * elem].copy_from_slice(&mine_bytes);
-    let mut mask = 1usize;
-    let mut round = 0u32;
-    while mask < size {
-        let partner = rank ^ mask;
-        let my_block = (rank >> round) << round;
-        let partner_block = (partner >> round) << round;
-        let (ms, me) = (my_block * block * elem, (my_block + mask) * block * elem);
-        let (ps, pe) = (partner_block * block * elem, (partner_block + mask) * block * elem);
-        let (sb, rb) = mpsim::split_send_recv(&mut bytes, ms, me - ms, ps, pe - ps)?;
-        comm.sendrecv(sb, partner, RS, rb, partner, RS)?;
-        mask <<= 1;
-        round += 1;
-    }
+    let (rank, block_bytes) = (comm.rank(), block * T::SIZE);
+    bytes[rank * block_bytes..(rank + 1) * block_bytes].copy_from_slice(&encode(&mine));
+    rd_allgather_async(comm, &mut bytes, 0).await?;
     buf.copy_from_slice(&decode::<T>(&bytes));
     Ok(())
 }
@@ -386,7 +420,7 @@ pub fn allreduce_rabenseifner_schedule(p: usize, nbytes: usize) -> Schedule {
         return s;
     }
     append_reduce_scatter_rh_ops(&mut s, block);
-    // Recursive-doubling allgather of the reduced blocks (over bytes).
+    // The `rd_allgather` walk at root 0 over the reduced blocks (bytes).
     for rank in 0..p {
         let mut mask = 1usize;
         while mask < p {
@@ -395,10 +429,10 @@ pub fn allreduce_rabenseifner_schedule(p: usize, nbytes: usize) -> Schedule {
             s.ranks[rank].sendrecv(
                 "ag",
                 partner,
-                RS,
+                Tag::ALLGATHER,
                 Loc::Private(mask * block),
                 partner,
-                RS,
+                Tag::ALLGATHER,
                 Loc::Private(mask * block),
             );
             mask <<= 1;

@@ -179,49 +179,18 @@ pub async fn ring_allgather_tuned_async<C: AsyncCommunicator + ?Sized>(
     Ok(())
 }
 
-/// Root-side [`ring_allgather_tuned`] over an **immutable** source buffer.
-///
-/// The root sits at root-relative position 0, which [`step_flag`] classifies
-/// as `(P, SendOnly)`: it degrades immediately, never posts a receive, and
-/// every one of its `P − 1` lone sends only *reads* a chunk it already owns.
-/// Together with [`crate::scatter::binomial_scatter_root`] this lets the
-/// root run the whole broadcast from a shared `&[u8]` with no defensive
-/// clone.
-pub fn ring_allgather_tuned_root(
-    comm: &(impl Communicator + ?Sized),
-    src: &[u8],
-    root: Rank,
-) -> Result<()> {
-    complete_now(ring_allgather_tuned_root_async(&SyncComm::new(comm), src, root))
-}
-
-/// Async core of [`ring_allgather_tuned_root`] — see
-/// [`ring_allgather_tuned_async`].
-///
-/// Stages `src` into one shared envelope and delegates to
-/// [`ring_allgather_tuned_shared_async`]: one `nbytes` staging copy, then
-/// every per-chunk send is a refcounted sub-view.
-pub async fn ring_allgather_tuned_root_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    src: &[u8],
-    root: Rank,
-) -> Result<()> {
-    let shared = comm.make_shared(src);
-    ring_allgather_tuned_shared_async(comm, &shared, root).await
-}
-
 /// Root-side tuned ring from an **already-shared** envelope: each of the
 /// `P − 1` lone sends is a [`SharedBuf::slice`] of `src`, so this path
 /// copies nothing at all. Callers that stage the payload once for both
-/// broadcast phases (e.g. the event-world launcher, or
-/// [`crate::bcast::bcast_opt_root_async`]) use this directly.
+/// broadcast phases (the event-world launcher, through
+/// [`crate::bcast::bcast_opt_shared_async`]) use this directly.
 pub async fn ring_allgather_tuned_shared_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     src: &SharedBuf,
     root: Rank,
 ) -> Result<()> {
     comm.check_rank(root)?;
-    assert_eq!(comm.rank(), root, "ring_allgather_tuned_root must run on the root rank");
+    assert_eq!(comm.rank(), root, "ring_allgather_tuned_shared_async must run on the root rank");
     let size = comm.size();
     if size == 1 {
         return Ok(());
@@ -231,7 +200,7 @@ pub async fn ring_allgather_tuned_shared_async<C: AsyncCommunicator + ?Sized>(
     for i in 1..size {
         let (send_chunk, _) = ring_step_chunks(0, size, i);
         // Per-step pacing mirrors the mutable tuned ring;
-        // `bcast_opt_coalesced_root` is the one-envelope form. lint: allow(per-chunk-send)
+        // `bcast_opt_coalesced` is the one-envelope form. lint: allow(per-chunk-send)
         comm.send_shared(&src.slice(layout.range(send_chunk)), right, Tag::ALLGATHER).await?;
     }
     Ok(())
@@ -302,7 +271,7 @@ pub fn append_tuned_ring_ops_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scatter::{binomial_scatter, binomial_scatter_root, owned_chunks};
+    use crate::scatter::{binomial_scatter, owned_chunks};
     use mpsim::{ThreadWorld, WorldTraffic};
 
     fn pattern(n: usize) -> Vec<u8> {
@@ -312,17 +281,10 @@ mod tests {
     fn run(size: usize, nbytes: usize, root: Rank) -> WorldTraffic {
         let src = pattern(nbytes);
         let out = ThreadWorld::run(size, |comm| {
-            if comm.rank() == root {
-                // The root broadcasts straight from the shared source: no
-                // defensive clone, both phases are read-only on the root.
-                binomial_scatter_root(comm, &src, root).unwrap();
-                ring_allgather_tuned_root(comm, &src, root).unwrap();
-            } else {
-                let mut buf = vec![0u8; nbytes];
-                binomial_scatter(comm, &mut buf, root).unwrap();
-                ring_allgather_tuned(comm, &mut buf, root).unwrap();
-                assert_eq!(buf, src, "rank {} incomplete", comm.rank());
-            }
+            let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
+            binomial_scatter(comm, &mut buf, root).unwrap();
+            ring_allgather_tuned(comm, &mut buf, root).unwrap();
+            assert_eq!(buf, src, "rank {} incomplete", comm.rank());
         });
         out.traffic
     }

@@ -140,48 +140,18 @@ pub async fn binomial_scatter_async<C: AsyncCommunicator + ?Sized>(
     Ok(owned_bytes)
 }
 
-/// Root-side [`binomial_scatter`] over an **immutable** source buffer.
-///
-/// The root never receives in the binomial tree (the mask walk never matches
-/// `relative = 0`) and its send phase only reads chunk ranges, so forcing
-/// callers to hand over a `&mut` clone of the payload is pure waste — this
-/// entry point broadcasts straight from a shared slice. Non-root ranks keep
-/// using [`binomial_scatter`]. Returns `src.len()`, the root's retained
-/// bytes, matching the mutable variant.
-pub fn binomial_scatter_root(
-    comm: &(impl Communicator + ?Sized),
-    src: &[u8],
-    root: Rank,
-) -> Result<usize> {
-    complete_now(binomial_scatter_root_async(&SyncComm::new(comm), src, root))
-}
-
-/// Async core of [`binomial_scatter_root`] — see [`binomial_scatter_async`].
-///
-/// Stages `src` into one shared envelope and delegates to
-/// [`binomial_scatter_shared_async`], so the root pays exactly one
-/// `nbytes` staging copy no matter how many children it feeds.
-pub async fn binomial_scatter_root_async<C: AsyncCommunicator + ?Sized>(
-    comm: &C,
-    src: &[u8],
-    root: Rank,
-) -> Result<usize> {
-    let shared = comm.make_shared(src);
-    binomial_scatter_shared_async(comm, &shared, root).await
-}
-
 /// Root-side scatter from an **already-shared** envelope: every child's
 /// subtree is a refcounted sub-view ([`SharedBuf::slice`]) of `src`, so
 /// this path copies nothing at all. Callers that already hold the payload
 /// in a [`SharedBuf`] (e.g. the event-world launcher) use this directly;
-/// [`binomial_scatter_root_async`] stages a plain slice first.
+/// [`binomial_scatter_async`] stages the root's buffer and lands here.
 pub async fn binomial_scatter_shared_async<C: AsyncCommunicator + ?Sized>(
     comm: &C,
     src: &SharedBuf,
     root: Rank,
 ) -> Result<usize> {
     comm.check_rank(root)?;
-    assert_eq!(comm.rank(), root, "binomial_scatter_root must run on the root rank");
+    assert_eq!(comm.rank(), root, "binomial_scatter_shared_async must run on the root rank");
     let size = comm.size();
     let nbytes = src.len();
     let layout = ChunkLayout::new(nbytes, size);
@@ -277,44 +247,12 @@ mod tests {
     fn run_scatter(size: usize, nbytes: usize, root: Rank) -> (Vec<Vec<u8>>, Vec<usize>) {
         let src = pattern(nbytes);
         let out = ThreadWorld::run(size, |comm| {
-            if comm.rank() == root {
-                // Read-only on the root: scatter straight from the shared
-                // source (the clone below is only for the test's result
-                // shape, after all communication is done).
-                let kept = binomial_scatter_root(comm, &src, root).unwrap();
-                (src.clone(), kept)
-            } else {
-                let mut buf = vec![0u8; nbytes];
-                let kept = binomial_scatter(comm, &mut buf, root).unwrap();
-                (buf, kept)
-            }
+            let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
+            let kept = binomial_scatter(comm, &mut buf, root).unwrap();
+            (buf, kept)
         });
         let (bufs, kept) = out.results.into_iter().unzip();
         (bufs, kept)
-    }
-
-    #[test]
-    fn root_variant_traffic_matches_mutable_scatter() {
-        for &(size, nbytes, root) in &[(8usize, 64usize, 0usize), (10, 97, 7), (13, 77, 3)] {
-            let src = pattern(nbytes);
-            let immutably = ThreadWorld::run(size, |comm| {
-                if comm.rank() == root {
-                    binomial_scatter_root(comm, &src, root).unwrap();
-                } else {
-                    let mut buf = vec![0u8; nbytes];
-                    binomial_scatter(comm, &mut buf, root).unwrap();
-                }
-            })
-            .traffic;
-            let mutably = ThreadWorld::run(size, |comm| {
-                let mut buf = if comm.rank() == root { src.clone() } else { vec![0u8; nbytes] };
-                binomial_scatter(comm, &mut buf, root).unwrap();
-            })
-            .traffic;
-            assert_eq!(immutably.total_msgs(), mutably.total_msgs(), "size={size}");
-            assert_eq!(immutably.total_bytes(), mutably.total_bytes(), "size={size}");
-            assert_eq!(immutably.total_envelopes(), mutably.total_envelopes(), "size={size}");
-        }
     }
 
     #[test]

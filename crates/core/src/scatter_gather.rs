@@ -3,8 +3,12 @@
 //! phase from, provided here as proper collectives with MPI semantics
 //! (uniform block per rank, root holds the full buffer).
 
-use mpsim::{absolute_rank, relative_rank, Communicator, Rank, Result, Tag};
+use mpsim::{
+    absolute_rank, complete_now, relative_rank, AsyncCommunicator, Communicator, Rank, Result,
+    SyncComm, Tag,
+};
 
+use crate::scatter::{append_scatter_ops, binomial_scatter_async};
 use crate::schedule::{Loc, Schedule, ScheduleSource};
 
 /// `MPI_Scatter`: the root's `sendbuf` (length `block × P`, rank order) is
@@ -19,66 +23,36 @@ pub fn scatter_binomial(
     recvbuf: &mut [u8],
     root: Rank,
 ) -> Result<()> {
+    complete_now(scatter_binomial_async(&SyncComm::new(comm), sendbuf, recvbuf, root))
+}
+
+/// Async core of [`scatter_binomial`]: the broadcast's binomial scatter
+/// ([`binomial_scatter_async`]) over a staging buffer in *relative* rank
+/// order, where each subtree's blocks are contiguous and block `rel` is
+/// chunk `rel` of the scatter.
+pub async fn scatter_binomial_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+    root: Rank,
+) -> Result<()> {
     comm.check_rank(root)?;
     let size = comm.size();
     let rank = comm.rank();
     let block = recvbuf.len();
-    if rank == root {
-        assert_eq!(sendbuf.len(), block * size, "root scatter buffer must be block × P");
-    }
-
     let relative = relative_rank(rank, root, size);
 
-    // Staging buffer in *relative* order so subtrees are contiguous.
     let mut stage = vec![0u8; block * size];
-    let mut have = 0usize; // blocks held, starting at our own relative slot
     if rank == root {
+        assert_eq!(sendbuf.len(), block * size, "root scatter buffer must be block × P");
         for rel in 0..size {
             let abs = absolute_rank(rel, root, size);
             stage[rel * block..(rel + 1) * block]
                 .copy_from_slice(&sendbuf[abs * block..(abs + 1) * block]);
         }
-        have = size;
     }
-
-    // Receive phase: the parent delivers our whole subtree.
-    let mut mask = 1usize;
-    while mask < size {
-        if relative & mask != 0 {
-            let src = absolute_rank(relative - mask, root, size);
-            let subtree = mask.min(size - relative);
-            let got = comm.recv(
-                &mut stage[relative * block..(relative + subtree) * block],
-                src,
-                Tag::SCATTER,
-            )?;
-            debug_assert_eq!(got, subtree * block);
-            have = subtree;
-            break;
-        }
-        mask <<= 1;
-    }
-
-    // Send phase: forward the upper half of what we hold to each child.
-    mask >>= 1;
-    while mask > 0 {
-        if relative + mask < size {
-            let child_rel = relative + mask;
-            let child_blocks = have.saturating_sub(mask).min(mask.min(size - child_rel));
-            if child_blocks > 0 {
-                let dst = absolute_rank(child_rel, root, size);
-                comm.send(
-                    &stage[child_rel * block..(child_rel + child_blocks) * block],
-                    dst,
-                    Tag::SCATTER,
-                )?;
-                have -= child_blocks;
-            }
-        }
-        mask >>= 1;
-    }
-
-    recvbuf.copy_from_slice(&stage[relative * block..relative * block + block]);
+    binomial_scatter_async(comm, &mut stage, root).await?;
+    recvbuf.copy_from_slice(&stage[relative * block..(relative + 1) * block]);
     Ok(())
 }
 
@@ -88,6 +62,16 @@ pub fn scatter_binomial(
 /// forwarding to their parent.
 pub fn gather_binomial(
     comm: &(impl Communicator + ?Sized),
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+    root: Rank,
+) -> Result<()> {
+    complete_now(gather_binomial_async(&SyncComm::new(comm), sendbuf, recvbuf, root))
+}
+
+/// Async core of [`gather_binomial`].
+pub async fn gather_binomial_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
     sendbuf: &[u8],
     recvbuf: &mut [u8],
     root: Rank,
@@ -111,17 +95,20 @@ pub fn gather_binomial(
         if relative & mask != 0 {
             // We have collected our whole subtree: ship it to the parent.
             let dst = absolute_rank(relative - mask, root, size);
-            comm.send(&stage[relative * block..(relative + have) * block], dst, Tag::GATHER)?;
+            comm.send(&stage[relative * block..(relative + have) * block], dst, Tag::GATHER)
+                .await?;
             break;
         }
         let child_rel = relative + mask;
         if child_rel < size {
             let child_blocks = mask.min(size - child_rel);
-            let got = comm.recv(
-                &mut stage[child_rel * block..(child_rel + child_blocks) * block],
-                absolute_rank(child_rel, root, size),
-                Tag::GATHER,
-            )?;
+            let got = comm
+                .recv(
+                    &mut stage[child_rel * block..(child_rel + child_blocks) * block],
+                    absolute_rank(child_rel, root, size),
+                    Tag::GATHER,
+                )
+                .await?;
             debug_assert_eq!(got, child_blocks * block);
             have += child_blocks;
         }
@@ -141,8 +128,9 @@ pub fn gather_binomial(
 
 /// Emit the symbolic schedule of [`scatter_binomial`] in the *relative-order
 /// staging* coordinates the executed code uses (slot `rel` = block of the
-/// rank at relative position `rel`): the root holds all `P` slots initially
-/// and every rank requires exactly its own slot at the end.
+/// rank at relative position `rel`): the root holds all `P` slots initially,
+/// every rank requires exactly its own slot at the end, and the ops are the
+/// broadcast scatter's.
 pub fn scatter_binomial_schedule(p: usize, block: usize, root: Rank) -> Schedule {
     let mut s = Schedule::new("scatter/binomial", p, block * p);
     s.ranks[root].mark_valid(0..block * p);
@@ -150,46 +138,7 @@ pub fn scatter_binomial_schedule(p: usize, block: usize, root: Rank) -> Schedule
         let relative = relative_rank(rank, root, p);
         s.ranks[rank].require(relative * block..(relative + 1) * block);
     }
-    for rank in 0..p {
-        let relative = relative_rank(rank, root, p);
-        let mut have = if rank == root { p } else { 0 };
-
-        let mut mask = 1usize;
-        while mask < p {
-            if relative & mask != 0 {
-                let src = absolute_rank(relative - mask, root, p);
-                let subtree = mask.min(p - relative);
-                s.ranks[rank].recv(
-                    "scatter",
-                    src,
-                    Tag::SCATTER,
-                    Loc::Buf(relative * block..(relative + subtree) * block),
-                );
-                have = subtree;
-                break;
-            }
-            mask <<= 1;
-        }
-
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < p {
-                let child_rel = relative + mask;
-                let child_blocks = have.saturating_sub(mask).min(mask.min(p - child_rel));
-                if child_blocks > 0 {
-                    let dst = absolute_rank(child_rel, root, p);
-                    s.ranks[rank].send(
-                        "scatter",
-                        dst,
-                        Tag::SCATTER,
-                        Loc::Buf(child_rel * block..(child_rel + child_blocks) * block),
-                    );
-                    have -= child_blocks;
-                }
-            }
-            mask >>= 1;
-        }
-    }
+    append_scatter_ops(&mut s, root);
     s
 }
 
@@ -304,8 +253,10 @@ mod tests {
                     "size={size} block={block} root={root} rank={rank}"
                 );
             }
-            // binomial scatter: exactly one message per non-root rank
-            assert_eq!(out.traffic.total_msgs(), (size - 1) as u64);
+            // binomial scatter: exactly one message per non-root rank, and
+            // none at all when there are no bytes to scatter
+            let want = if block > 0 { size - 1 } else { 0 };
+            assert_eq!(out.traffic.total_msgs(), want as u64);
         }
     }
 

@@ -9,8 +9,8 @@
 //! identical `counts`/`displs` (collective arguments).
 
 use mpsim::{
-    absolute_rank, relative_rank, ring_left, ring_right, split_send_recv, Communicator, Rank,
-    Result, Tag,
+    absolute_rank, complete_now, relative_rank, ring_left, ring_right, split_send_recv,
+    AsyncCommunicator, Communicator, Rank, Result, SyncComm, Tag,
 };
 
 const AGV: Tag = Tag(0xF8);
@@ -53,6 +53,17 @@ pub fn allgatherv_ring(
     counts: &[usize],
     displs: &[usize],
 ) -> Result<()> {
+    complete_now(allgatherv_ring_async(&SyncComm::new(comm), sendbuf, recvbuf, counts, displs))
+}
+
+/// Async core of [`allgatherv_ring`].
+pub async fn allgatherv_ring_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+    counts: &[usize],
+    displs: &[usize],
+) -> Result<()> {
     let size = comm.size();
     let rank = comm.rank();
     assert_eq!(counts.len(), size, "one count per rank");
@@ -70,7 +81,7 @@ pub fn allgatherv_ring(
     for _ in 1..size {
         let (sb, rb) =
             split_send_recv(recvbuf, displs[j], counts[j], displs[jnext], counts[jnext])?;
-        comm.sendrecv(sb, right, AGV, rb, left, AGV)?;
+        comm.sendrecv(sb, right, AGV, rb, left, AGV).await?;
         j = jnext;
         jnext = ring_left(jnext, size);
     }
@@ -89,6 +100,19 @@ pub fn scatterv_linear(
     displs: &[usize],
     root: Rank,
 ) -> Result<()> {
+    let comm = SyncComm::new(comm);
+    complete_now(scatterv_linear_async(&comm, sendbuf, recvbuf, counts, displs, root))
+}
+
+/// Async core of [`scatterv_linear`].
+pub async fn scatterv_linear_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+    counts: &[usize],
+    displs: &[usize],
+    root: Rank,
+) -> Result<()> {
     comm.check_rank(root)?;
     let size = comm.size();
     let rank = comm.rank();
@@ -98,11 +122,11 @@ pub fn scatterv_linear(
         check_layout(counts, displs, sendbuf.len());
         for rel in 1..size {
             let peer = absolute_rank(rel, root, size);
-            comm.send(&sendbuf[displs[peer]..displs[peer] + counts[peer]], peer, SCV)?;
+            comm.send(&sendbuf[displs[peer]..displs[peer] + counts[peer]], peer, SCV).await?;
         }
         recvbuf.copy_from_slice(&sendbuf[displs[rank]..displs[rank] + counts[rank]]);
     } else {
-        let n = comm.recv(recvbuf, root, SCV)?;
+        let n = comm.recv(recvbuf, root, SCV).await?;
         debug_assert_eq!(n, counts[rank]);
     }
     Ok(())
@@ -116,6 +140,19 @@ pub fn scatterv_linear(
 /// image into the user's (possibly non-contiguous) displacements.
 pub fn gatherv_binomial(
     comm: &(impl Communicator + ?Sized),
+    sendbuf: &[u8],
+    recvbuf: &mut [u8],
+    counts: &[usize],
+    displs: &[usize],
+    root: Rank,
+) -> Result<()> {
+    let comm = SyncComm::new(comm);
+    complete_now(gatherv_binomial_async(&comm, sendbuf, recvbuf, counts, displs, root))
+}
+
+/// Async core of [`gatherv_binomial`].
+pub async fn gatherv_binomial_async<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
     sendbuf: &[u8],
     recvbuf: &mut [u8],
     counts: &[usize],
@@ -148,7 +185,7 @@ pub fn gatherv_binomial(
             let lo = rel_displs[relative];
             let hi = if span_end == size { stage.len() } else { rel_displs[span_end] };
             let parent = absolute_rank(relative - mask, root, size);
-            comm.send(&stage[lo..hi], parent, GAV)?;
+            comm.send(&stage[lo..hi], parent, GAV).await?;
             break;
         }
         let child_rel = relative + mask;
@@ -156,7 +193,8 @@ pub fn gatherv_binomial(
             let span_end = (child_rel + mask).min(size);
             let lo = rel_displs[child_rel];
             let hi = if span_end == size { stage.len() } else { rel_displs[span_end] };
-            let got = comm.recv(&mut stage[lo..hi], absolute_rank(child_rel, root, size), GAV)?;
+            let child = absolute_rank(child_rel, root, size);
+            let got = comm.recv(&mut stage[lo..hi], child, GAV).await?;
             debug_assert_eq!(got, hi - lo);
         }
         mask <<= 1;

@@ -45,6 +45,9 @@ feature_legs=("--no-default-features" "" "--features mpsim/fast-sync")
 
 phase_build() {
   run cargo build --workspace --release --offline
+  # perfbench is its own workspace: build it so a removed or renamed export
+  # it imports fails here, not at benchmark time.
+  run cargo build --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 phase_feature_matrix() {

@@ -22,18 +22,23 @@
 //! * **Single-node SMP**: one `SubComm` holding the whole world runs the
 //!   same binomial tree as the flat broadcast, so the bill is the flat one —
 //!   the sub-communicator forwards the zero-copy surface untouched.
+//! * **Ring `MPI_Allgather`**: it runs the broadcast's enclosed ring, whose
+//!   hold chain stages the own block once and lands each of the `P − 1`
+//!   arriving blocks once: `P·block` per rank, where a copying `sendrecv`
+//!   per step would pay `2·(P−1)·block`.
 //!
 //! The same ceilings are enforced a second way through
 //! `schedcheck::reconcile_traffic`, here driven by real `ThreadWorld` and
 //! `EventWorld` outcomes — so a copy regression fails both the direct
 //! assertions and the schedule reconciliation, on every executor.
 
+use bcast_core::allgather::{allgather_ring, allgather_ring_async};
 use bcast_core::bcast::bcast_schedule;
 use bcast_core::{
     bcast_binomial, bcast_binomial_copy, bcast_coalesced_event_world, bcast_event_world, bcast_smp,
     bcast_with, Algorithm, CoalescePolicy, NodeMap,
 };
-use mpsim::{Communicator, ThreadWorld, WorldTraffic};
+use mpsim::{AsyncCommunicator, Communicator, EventWorld, ThreadWorld, WorldTraffic};
 use schedcheck::{copy_ceiling_per_rank, reconcile_traffic};
 
 fn pattern(n: usize) -> Vec<u8> {
@@ -91,6 +96,40 @@ fn single_node_smp_pays_the_flat_binomial_bill() {
                 (f.msgs_sent, f.bytes_sent, f.msgs_recvd, f.bytes_recvd),
                 "P={size} root={root} rank={rank}: smp wire traffic differs from flat binomial"
             );
+        }
+    }
+}
+
+#[test]
+fn ring_allgather_pays_one_copy_per_block() {
+    let block = 256;
+    for size in [2usize, 3, 8, 11] {
+        let want: Vec<u8> = (0..size).flat_map(|r| vec![r as u8; block]).collect();
+        let thread = ThreadWorld::run(size, |comm| {
+            let mut all = vec![0u8; block * size];
+            allgather_ring(comm, &vec![comm.rank() as u8; block], &mut all).unwrap();
+            assert_eq!(all, want, "rank {} diverged", comm.rank());
+        })
+        .traffic;
+        let event = EventWorld::run(size, |comm| {
+            let want = want.clone();
+            async move {
+                let mine = vec![AsyncCommunicator::rank(&comm) as u8; block];
+                let mut all = vec![0u8; block * size];
+                allgather_ring_async(&comm, &mine, &mut all).await.unwrap();
+                assert_eq!(all, want);
+            }
+        })
+        .traffic;
+        for traffic in [&thread, &event] {
+            for (rank, st) in traffic.per_rank.iter().enumerate() {
+                assert_eq!(
+                    st.bytes_copied,
+                    (size * block) as u64,
+                    "P={size} rank={rank}: ring allgather must stage its own block once and \
+                     land each arriving block once"
+                );
+            }
         }
     }
 }
