@@ -2,7 +2,8 @@
 //! function of casualty count, on the discrete-event executor.
 //!
 //! Each measured world is one complete self-healing launch under a seeded
-//! crash plan: the initial attempt, every heartbeat-agreement round, the
+//! crash plan: the initial attempt, every agreement (the tree fast round,
+//! plus the pairwise fallback whenever that round misses), the
 //! root-succession bookkeeping, and the degraded-schedule re-derivation for
 //! every epoch the cascade forces. Crash timestamps are staggered so each
 //! additional casualty lands *after* the previous epoch started — the
@@ -11,8 +12,10 @@
 //!
 //! * `p8/c{0,1,3}` — the paper's world size; c3 kills three of eight ranks
 //!   in three separate epochs;
-//! * `p1024/c{0,1,4}` — the megascale leg; the schedule re-derivation and
-//!   agreement fan-in dominate, not the payload copies.
+//! * `p1024/c{0,1,4}` — the megascale leg; the ring's per-message cost
+//!   dominates a clean world (its agreement is `2(P − 1)` one-byte
+//!   messages), the pairwise fallbacks and re-derivations a crashing one —
+//!   never the payload copies.
 //!
 //! Everything runs on EventWorld's virtual clock, so the wall-clock medians
 //! measure the *machinery* (reactor scheduling, agreement traffic, schedule

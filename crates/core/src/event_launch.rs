@@ -198,10 +198,23 @@ impl RecoverySpec<'_> {
 }
 
 /// A loose upper bound on the virtual-clock duration of a self-healing
-/// launch at world size `p`: every epoch costs at most one stalled attempt
-/// plus one full agreement round, each receive bounded by the heartbeat
-/// deadline. Real runs sit orders of magnitude below it; a run *above* it
-/// means a timeout failed to fire — the recovery-time invariant.
+/// launch at world size `p`: `p + 2` heartbeat deadlines `hb` per epoch.
+/// Real runs sit orders of magnitude below it; a run *above* it means a
+/// timeout failed to fire — the recovery-time invariant.
+///
+/// An epoch spends at most `hb` in a stalled attempt (every receive is
+/// bounded by one step timeout, and a stalled attempt drains in fewer than
+/// `2p` of them) and `2·hb` in the fast round (absolute deadlines), which
+/// leaves `(p − 1)·hb` for the pairwise fallback. Its per-peer deadline is
+/// `3·hb`, but a wait only runs that long on a peer that is silent and has
+/// not exited: every executor fails a receive from an exited rank at once,
+/// a fail-stopped rank exits on its next operation, and a committer exits
+/// as it commits. A full wait thus needs a live peer that never sends this
+/// rank its report, which under the fault model takes a verdict split by a
+/// crash inside the fallback itself; the fallback stays far inside its
+/// share, and the fault-free epoch, with no fallback at all, spends no
+/// deadline. The cascade batteries and `chaos-search` check this bound on
+/// every run.
 pub fn recovery_elapsed_bound(cfg: &RecoveryConfig, p: usize) -> Duration {
     let per_receive = cfg.step_timeout.saturating_mul(2 * p as u32 + 6);
     per_receive.saturating_mul((p as u32 + 2).saturating_mul(cfg.max_epochs.max(1)))
@@ -365,7 +378,7 @@ pub fn check_recovery_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::{bcast_volume, scatter_msgs};
+    use crate::traffic::{bcast_volume, fast_agreement_volume, scatter_msgs};
 
     #[test]
     fn event_launch_matches_closed_forms_small() {
@@ -403,6 +416,22 @@ mod tests {
             assert_eq!(h.epochs, 1);
             assert_eq!(h.survivors.len(), 16);
             assert!(run.trace.saw(crate::recovery::branch::HEALED_ALL));
+        }
+    }
+
+    #[test]
+    fn fault_free_agreement_is_one_tree_round_trip() {
+        // The fault-free epoch pays the broadcast plus the fast round's
+        // 2(P − 1) one-byte messages — no pairwise exchange.
+        let cfg = RecoveryConfig::default();
+        for p in [8usize, 1024] {
+            let algorithm = Algorithm::ScatterRingTuned;
+            let out = self_healing_bcast_event_world(p, 2048, 0, algorithm, &cfg);
+            let agreement = fast_agreement_volume(p);
+            assert_eq!((agreement.msgs, agreement.bytes), (2 * (p as u64 - 1), 2 * (p as u64 - 1)));
+            let expect = bcast_volume(algorithm, 2048, p).plus(agreement);
+            assert_eq!(out.traffic.total_msgs(), expect.msgs, "P={p}");
+            assert_eq!(out.traffic.total_bytes(), expect.bytes, "P={p}");
         }
     }
 

@@ -12,20 +12,37 @@
 //!    messages from a failed attempt. A dead neighbor surfaces as
 //!    [`CommError::Timeout`] or — when the backend's exited-rank detector
 //!    fires first — [`CommError::PeerFailed`].
-//! 2. **Agreement round** — every surviving rank sends a one-byte report
-//!    (a "payload complete" bit) to every other current member, then
-//!    collects the peers' reports under a generous heartbeat deadline.
-//!    Membership is decided by this exchange *alone*: an attempt-time
-//!    timeout is only a stall symptom (a live neighbor of a dead rank
-//!    stalls too), but a rank that misses the heartbeat deadline — sized to
-//!    cover the worst-case attempt cascade — is dead under the fail-stop
-//!    assumption (below), so every live rank computes the same verdict.
+//! 2. **Agreement** — first a **fast round**: a one-byte "payload complete"
+//!    bit is AND-reduced up a binomial tree over the current members
+//!    ([`agreement_tree`], rooted at `members[0]`) and the verdict travels
+//!    back down the same tree — `2(members − 1)` one-byte messages. The
+//!    reduce phase must finish within one heartbeat deadline of the round's
+//!    start, the verdict within two; every error, timeout or garbled byte
+//!    folds to "not ok" ([`fold_frame`]). A verdict of 1 **commits**: every
+//!    member held the payload, so the rank heals at once. Any other outcome
+//!    **falls back** to the pairwise exchange, in which every member sends
+//!    its bit to every other member and collects the peers' bits under the
+//!    heartbeat deadline widened by the fast round's two phases.
+//!    Membership is decided by that exchange *alone*: an attempt-time or
+//!    fast-round timeout is only a stall symptom (a live neighbor of a dead
+//!    rank stalls too), but a rank that misses the pairwise deadline —
+//!    sized to cover the worst-case attempt cascade plus the fast round —
+//!    is dead under the fail-stop assumption (below), so every live rank
+//!    computes the same verdict. **A rank that fell back never heals in
+//!    that epoch** ([`fallback_decision`]): a crash between an interior
+//!    tree node's reduce send and its verdict forward lets the rest of the
+//!    world commit while the node's subtree falls back, and the committers,
+//!    having returned, look dead to that subtree. Deferring the fallback
+//!    ranks' heal to a later epoch — whose attempt is skipped when every
+//!    remaining member already holds the payload — keeps their exclusion
+//!    of the committers epoch-monotone (see
+//!    [`crate::check_recovery_outcome`]).
 //! 3. **Degraded rerun** — the survivors form a [`SubComm`], the
 //!    binomial-scatter `(step, flag)` schedule is re-derived over the
 //!    shrunken world (simply by running the same algorithm at the smaller
 //!    size), and the broadcast reruns from the lowest-ranked survivor that
-//!    holds the full payload. The loop repeats until an attempt completes
-//!    on every survivor or the epoch budget is exhausted.
+//!    holds the full payload. The loop repeats until a fast round commits
+//!    or the epoch budget is exhausted.
 //!
 //! The matching *symbolic* schedule of a degraded rerun is available from
 //! [`degraded_bcast_schedule`], so `schedcheck` verifies the regenerated
@@ -56,8 +73,10 @@
 //!
 //! Recovery assumes **fail-stop** processes and a **reliable timeout
 //! oracle**: a rank that fails stays silent forever (no Byzantine
-//! behavior), and the heartbeat deadline is long enough that a live rank is
-//! never mistaken for dead. A false suspicion does not corrupt data — the
+//! behavior), and the pairwise deadline is long enough that a live rank is
+//! never mistaken for dead. The fast round needs neither: a missed
+//! fast-round deadline, even on a live peer, only sends the epoch to the
+//! pairwise fallback. A false suspicion does not corrupt data — the
 //! falsely-excluded rank returns [`CommError::PeerFailed`] naming itself
 //! and the survivors still complete — but it does shrink the world more
 //! than necessary. Message *loss* between live ranks is the job of
@@ -84,8 +103,15 @@ use crate::schedule::Schedule;
 /// message from an earlier, partially-failed attempt.
 pub const EPOCH_TAG_STRIDE: u32 = 0x100;
 
-/// Base tag of the per-epoch agreement (heartbeat/report) round.
+/// Base tag of the per-epoch agreement page: epoch `e`'s pairwise exchange
+/// runs on `AGREEMENT_TAG_BASE + e · EPOCH_TAG_STRIDE`, its fast round's
+/// reduce and verdict phases one and two tags above.
 pub const AGREEMENT_TAG_BASE: u32 = 0xA100;
+
+/// Offset of the fast round's reduce phase inside an agreement page.
+const FAST_REDUCE: u32 = 1;
+/// Offset of the fast round's verdict phase inside an agreement page.
+const FAST_VERDICT: u32 = 2;
 
 /// Shift granularity of the membership digest inside an attempt's tag: the
 /// digest occupies bits 12 and up, above every user tag (< `0x100`), every
@@ -95,8 +121,9 @@ pub const AGREEMENT_TAG_BASE: u32 = 0xA100;
 /// reserved acknowledgement range.
 pub const MEMBERSHIP_DIGEST_SHIFT: u32 = 12;
 
-/// Digest of a member list, folded into every *attempt* tag (never the
-/// agreement tag) by [`EpochComm::isolated`].
+/// Digest of a member list, folded into every *attempt* tag by
+/// [`EpochComm::isolated`] and into the fast round's tags — never into the
+/// pairwise exchange's tag.
 ///
 /// A crash that lands *during* an agreement round can split the verdict:
 /// peers the victim already answered believe it alive, later peers see it
@@ -107,8 +134,13 @@ pub const MEMBERSHIP_DIGEST_SHIFT: u32 = 12;
 /// tag, a rank only ever matches attempt traffic from peers that agree on
 /// the membership, so a split epoch stalls cleanly into timeouts and the
 /// *next* agreement round re-converges (the victim is silent for everyone
-/// by then). Agreement tags stay digest-free on purpose — the diverged
-/// groups must still heartbeat each other to re-converge.
+/// by then). The fast round is isolated the same way: groups with diverged
+/// lists build different trees, so only ranks that agree on the membership
+/// may feed each other's AND; across groups it times out into the
+/// fallback. The pairwise tag stays digest-free on purpose — the diverged
+/// groups must still heartbeat each other to re-converge. Every tag keeps
+/// its low byte (the algorithms' user tags; 0, 1, 2 for the pairwise,
+/// reduce and verdict phases), so no shift can alias two kinds of traffic.
 pub fn membership_digest(members: &[Rank]) -> u32 {
     // FNV-1a over the member ranks, folded to a 12-bit page well clear of
     // the low pages (user + epoch + agreement tags all sit below 0xB2xx).
@@ -150,14 +182,27 @@ impl Default for RecoveryConfig {
 }
 
 impl RecoveryConfig {
-    /// The agreement-round deadline. A live member may still be stuck in
-    /// the failed attempt when its peers start collecting heartbeats: with
-    /// every receive bounded by one step-timeout, a stalled attempt drains
-    /// in at most `scatter depth + ring steps` timeouts (< 2·members), so
-    /// twice that plus slack guarantees a live rank is never mistaken for
-    /// dead.
+    /// The heartbeat deadline `hb`, the unit every agreement deadline is
+    /// built from. A live member may still be stuck in the failed attempt
+    /// when its peers start agreeing: with every receive bounded by one
+    /// step-timeout, a stalled attempt drains in at most `scatter depth +
+    /// ring steps` timeouts (< 2·members), so twice that plus slack covers
+    /// the skew between two members' ends of an attempt.
+    ///
+    /// The fast round's reduce phase ends `hb` after the round starts (on
+    /// each rank's own clock), its verdict phase `2·hb` after; the pairwise
+    /// fallback waits [`Self::fallback_timeout`] per peer.
     fn heartbeat_timeout(&self, members: usize) -> Duration {
         self.step_timeout.saturating_mul(2 * members as u32 + 6)
+    }
+
+    /// The pairwise fallback's per-peer deadline: `hb` for the attempt skew
+    /// plus the fast round's two phases, since one member may enter the
+    /// fallback as soon as a `0` verdict reaches it while another waits out
+    /// the whole verdict deadline first. With it a live rank is never
+    /// mistaken for dead.
+    fn fallback_timeout(&self, members: usize) -> Duration {
+        self.heartbeat_timeout(members).saturating_mul(3)
     }
 }
 
@@ -464,9 +509,61 @@ impl Report {
     }
 }
 
-/// Outcome of one agreement round, identical on every live member (unless a
-/// crash lands mid-round — see [`membership_digest`] for how that split is
-/// contained).
+/// Fold one fast-round receive into the running verdict `ok`: only a
+/// well-formed `1` frame keeps it; a failed receive (`None`: an error or a
+/// timeout) or a garbled byte turns it to "not ok".
+pub fn fold_frame(ok: bool, frame: Option<&[u8]>) -> bool {
+    ok && frame.and_then(Report::decode).is_some_and(|r| r.has_full)
+}
+
+/// The fast round's binomial tree over `n` members, by member index:
+/// `(parent, children)` of `index`, rooted at index 0. The parent clears
+/// the lowest set bit of `index`; the children, in ascending order (the
+/// smallest subtree, which reports first, first), add each smaller power
+/// of two. The same shape as the binomial broadcast, so the reduce and the
+/// verdict each cost `n − 1` messages in `⌈log₂ n⌉` rounds.
+pub fn agreement_tree(index: usize, n: usize) -> (Option<usize>, Vec<usize>) {
+    assert!(index < n, "member index {index} outside a tree of {n}");
+    let span = if index == 0 { n.next_power_of_two() } else { index & index.wrapping_neg() };
+    let parent = (index != 0).then(|| index - span);
+    let children = std::iter::successors(Some(1usize), |m| Some(m << 1))
+        .take_while(|&m| m < span && index + m < n)
+        .map(|m| index + m)
+        .collect();
+    (parent, children)
+}
+
+/// Where a pairwise fallback leaves a rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fallback {
+    /// Run another epoch over the remaining members. `skip_attempt` when
+    /// every one of them already holds the payload: the next epoch then
+    /// goes straight to its fast round.
+    Retry {
+        /// Whether the next epoch's broadcast attempt is skipped.
+        skip_attempt: bool,
+    },
+    /// No remaining member holds the payload: unrecoverable.
+    PayloadLost,
+}
+
+/// The soundness rule of the fast round: after a fallback that left
+/// `remaining` members, `holding` of whom hold the payload, a rank never
+/// heals in the same epoch — even when everyone remaining holds the
+/// payload, it retries and heals through the next epoch's fast round. Some
+/// peers may have committed in this epoch; the fallback has just counted
+/// them dead, and only a strictly later heal may exclude them.
+pub fn fallback_decision(remaining: usize, holding: usize) -> Fallback {
+    if holding == 0 {
+        Fallback::PayloadLost
+    } else {
+        Fallback::Retry { skip_attempt: holding == remaining }
+    }
+}
+
+/// Outcome of one pairwise exchange, identical on every live member
+/// (unless a crash lands mid-exchange — see [`membership_digest`] for how
+/// that split is contained).
 struct Verdict {
     dead: BTreeSet<Rank>,
     have_full: BTreeSet<Rank>,
@@ -480,9 +577,11 @@ pub mod branch {
     pub const CLEAN_ATTEMPT: u32 = 1 << 0;
     /// An attempt stalled (timeout / peer failure) on this rank.
     pub const STALLED_ATTEMPT: u32 = 1 << 1;
-    /// Healed with nobody newly dead and every member holding the payload.
+    /// Healed through the fast-round commit of an epoch whose attempt ran.
     pub const HEALED_ALL: u32 = 1 << 2;
-    /// Healed because every *remaining* member already held the payload.
+    /// Healed through the fast-round commit of an epoch whose attempt was
+    /// skipped, because the previous epoch's fallback found every
+    /// *remaining* member already holding the payload.
     pub const HEALED_SURVIVORS: u32 = 1 << 3;
     /// An agreement round declared at least one member dead.
     pub const DEATH_OBSERVED: u32 = 1 << 4;
@@ -557,10 +656,98 @@ impl RecoveryDrill {
     };
 }
 
-/// Exchange [`Report`]s among `members` (world numbering) under the
-/// heartbeat deadline and fold them into a common [`Verdict`]: a member is
-/// dead iff it fails this exchange (timeout, peer failure, or a garbled
-/// report). The fail-stop assumption plus the backends' definitive
+/// The fast round over `members` (world numbering): AND `has_full` up the
+/// [`agreement_tree`] rooted at `members[0]`, then pass the root's verdict
+/// back down. Returns whether this rank committed, i.e. received a `1`
+/// verdict — proof that every member held the payload when it reported.
+///
+/// Both phases run against absolute deadlines taken from this rank's clock
+/// at the round's start: `hb` for the children's reduce frames, `2·hb` for
+/// the parent's verdict. Every failure folds to "not ok" and the rank
+/// still forwards its (then `0`) verdict, so a miss anywhere reaches the
+/// whole subtree below it without waiting out further deadlines. The one
+/// error that escapes is [`CommError::PeerFailed`] naming this rank: its
+/// own communicator fail-stopped. The tags carry the membership digest, so
+/// ranks whose member lists diverged never feed each other's AND.
+async fn fast_round<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    members: &[Rank],
+    epoch: u32,
+    has_full: bool,
+    cfg: &RecoveryConfig,
+) -> Result<bool> {
+    let me = comm.rank();
+    let index = members.iter().position(|&m| m == me).ok_or(CommError::PeerFailed { rank: me })?;
+    let (parent, children) = agreement_tree(index, members.len());
+    let digest = membership_digest(members) << MEMBERSHIP_DIGEST_SHIFT;
+    let reduce_tag = Tag(agreement_tag(epoch, FAST_REDUCE).0.wrapping_add(digest));
+    let verdict_tag = Tag(agreement_tag(epoch, FAST_VERDICT).0.wrapping_add(digest));
+    let hb = u64::try_from(cfg.heartbeat_timeout(members.len()).as_nanos()).unwrap_or(u64::MAX);
+    let start = comm.now_ns();
+
+    let mut ok = has_full;
+    for &c in &children {
+        ok = recv_bit(comm, ok, members[c], reduce_tag, start.saturating_add(hb)).await?;
+    }
+    if let Some(p) = parent {
+        send_bit(comm, ok, members[p], reduce_tag).await?;
+        let deadline = start.saturating_add(hb.saturating_mul(2));
+        ok = recv_bit(comm, ok, members[p], verdict_tag, deadline).await?;
+    }
+    // Largest subtree first: it has the most ranks waiting on the verdict.
+    for &c in children.iter().rev() {
+        send_bit(comm, ok, members[c], verdict_tag).await?;
+    }
+    Ok(ok)
+}
+
+/// Tag of `phase` in `epoch`'s agreement page.
+fn agreement_tag(epoch: u32, phase: u32) -> Tag {
+    Tag(AGREEMENT_TAG_BASE.wrapping_add(epoch.wrapping_mul(EPOCH_TAG_STRIDE)).wrapping_add(phase))
+}
+
+/// One fast-round receive against an absolute `deadline` (ns on the
+/// communicator's clock), folded into `ok` by [`fold_frame`]. Only this
+/// rank's own fail-stop escapes as an error.
+async fn recv_bit<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    ok: bool,
+    src: Rank,
+    tag: Tag,
+    deadline: u64,
+) -> Result<bool> {
+    let mut frame = [0u8; 1];
+    let left = Duration::from_nanos(deadline.saturating_sub(comm.now_ns()));
+    match comm.recv_timeout(&mut frame, src, tag, left).await {
+        Ok(n) => Ok(fold_frame(ok, Some(&frame[..n]))),
+        Err(CommError::PeerFailed { rank }) if rank == comm.rank() => {
+            Err(CommError::PeerFailed { rank })
+        }
+        Err(_) => Ok(fold_frame(ok, None)),
+    }
+}
+
+/// One fast-round send. Only this rank's own fail-stop escapes: a frame
+/// that does not arrive is the receiver's miss, and its deadline turns it
+/// into "not ok" there.
+async fn send_bit<C: AsyncCommunicator + ?Sized>(
+    comm: &C,
+    ok: bool,
+    dest: Rank,
+    tag: Tag,
+) -> Result<()> {
+    match comm.send(&Report { has_full: ok }.encode(), dest, tag).await {
+        Err(CommError::PeerFailed { rank }) if rank == comm.rank() => {
+            Err(CommError::PeerFailed { rank })
+        }
+        _ => Ok(()),
+    }
+}
+
+/// The pairwise fallback: exchange [`Report`]s among `members` (world
+/// numbering) under [`RecoveryConfig::fallback_timeout`] and fold them into
+/// a common [`Verdict`]: a member is dead iff it fails this exchange
+/// (timeout, peer failure, or a garbled report). The fail-stop assumption plus the backends' definitive
 /// exited-rank detection make the outcome identical on every live member —
 /// a dead rank fails *everyone's* heartbeat, and the deadline is sized so a
 /// live rank never does. Our *own* communicator fail-stopping mid-round
@@ -584,9 +771,9 @@ async fn agree_async<C: AsyncCommunicator + ?Sized>(
     trace: &mut RecoveryTrace,
 ) -> Result<Verdict> {
     let me = comm.rank();
-    let tag = Tag(AGREEMENT_TAG_BASE.wrapping_add(epoch.wrapping_mul(EPOCH_TAG_STRIDE)));
+    let tag = agreement_tag(epoch, 0);
     let encoded = mine.encode();
-    let hb = cfg.heartbeat_timeout(members.len());
+    let deadline = cfg.fallback_timeout(members.len());
 
     let mut dead = BTreeSet::new();
     let mut have_full = BTreeSet::new();
@@ -603,7 +790,7 @@ async fn agree_async<C: AsyncCommunicator + ?Sized>(
             comm.sendrecv(&encoded, peer, tag, &mut frame, peer, tag).await
         } else {
             match comm.send(&encoded, peer, tag).await {
-                Ok(()) => comm.recv_timeout(&mut frame, peer, tag, hb).await,
+                Ok(()) => comm.recv_timeout(&mut frame, peer, tag, deadline).await,
                 Err(e) => Err(e),
             }
         };
@@ -698,42 +885,57 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
     let mut all_dead: BTreeSet<Rank> = BTreeSet::new();
     trace.root_chain.push(root);
 
+    let mut skip_attempt = false;
     for epoch in 0..max_epochs {
         trace.epochs_entered = epoch + 1;
-        let sub = SubComm::new_async(comm, members.clone())
-            // lint: allow(panic) — `me` is always kept in `members` (checked below)
-            .expect("member list lost this rank");
-        let local_root = sub
-            .from_parent(current_root)
-            // lint: allow(panic) — root succession keeps the root a member
-            // (unless the drill knob disables succession on purpose)
-            .unwrap_or_else(|| panic!("root {current_root} is not a member"));
-        let epoch_comm = EpochComm::isolated(&sub, epoch, membership_digest(&members));
-        let mut guarded = GuardedComm::new(&epoch_comm, cfg.step_timeout);
-        if cfg.bounded_sendrecv {
-            guarded = guarded.passthrough_sendrecv();
-        }
+        if !skip_attempt {
+            let sub = SubComm::new_async(comm, members.clone())
+                // lint: allow(panic) — `me` is always kept in `members` (checked below)
+                .expect("member list lost this rank");
+            let local_root = sub
+                .from_parent(current_root)
+                // lint: allow(panic) — root succession keeps the root a member
+                // (unless the drill knob disables succession on purpose)
+                .unwrap_or_else(|| panic!("root {current_root} is not a member"));
+            let epoch_comm = EpochComm::isolated(&sub, epoch, membership_digest(&members));
+            let mut guarded = GuardedComm::new(&epoch_comm, cfg.step_timeout);
+            if cfg.bounded_sendrecv {
+                guarded = guarded.passthrough_sendrecv();
+            }
 
-        let attempt = bcast_with_async(&guarded, buf, local_root, algorithm).await;
-        match attempt {
-            Ok(()) => {
-                trace.hit(branch::CLEAN_ATTEMPT);
-                has_full = true;
-            }
-            // Attempt-time stalls only mark the attempt failed; membership
-            // is decided by the agreement round. Errors from the sub-world
-            // stack name *local* ranks.
-            Err(CommError::Timeout { peer }) | Err(CommError::PeerFailed { rank: peer }) => {
-                if peer < members.len() && members[peer] == me {
-                    trace.hit(branch::SELF_CRASH);
-                    return Err(CommError::PeerFailed { rank: me });
+            match bcast_with_async(&guarded, buf, local_root, algorithm).await {
+                Ok(()) => {
+                    trace.hit(branch::CLEAN_ATTEMPT);
+                    has_full = true;
                 }
-                trace.hit(branch::STALLED_ATTEMPT);
+                // Attempt-time stalls only mark the attempt failed; membership
+                // is decided by the agreement. Errors from the sub-world stack
+                // name *local* ranks.
+                Err(CommError::Timeout { peer }) | Err(CommError::PeerFailed { rank: peer }) => {
+                    if peer < members.len() && members[peer] == me {
+                        trace.hit(branch::SELF_CRASH);
+                        return Err(CommError::PeerFailed { rank: me });
+                    }
+                    trace.hit(branch::STALLED_ATTEMPT);
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
         }
 
         let report = Report { has_full: has_full || drill.claim_full_payload };
+        let committed = match fast_round(comm, &members, epoch, report.has_full, cfg).await {
+            Ok(c) => c,
+            Err(CommError::PeerFailed { rank }) if rank == me => {
+                trace.hit(branch::SELF_CRASH);
+                return Err(CommError::PeerFailed { rank: me });
+            }
+            Err(e) => return Err(e),
+        };
+        if committed {
+            trace.hit(if skip_attempt { branch::HEALED_SURVIVORS } else { branch::HEALED_ALL });
+            return Ok(Healed { survivors: members, epochs: epoch + 1 });
+        }
+
         let verdict = match agree_async(comm, &members, epoch, &report, cfg, trace).await {
             Ok(v) => v,
             Err(CommError::PeerFailed { rank }) if rank == me => {
@@ -748,37 +950,25 @@ pub async fn self_healing_bcast_traced_async<C: AsyncCommunicator + ?Sized>(
             all_dead.extend(verdict.dead.iter().copied());
             trace.deaths_observed = all_dead.len();
         }
-
-        if verdict.dead.is_empty() && verdict.have_full.len() == members.len() {
-            trace.hit(branch::HEALED_ALL);
-            return Ok(Healed { survivors: members, epochs: epoch + 1 });
-        }
-
         members.retain(|r| !verdict.dead.contains(r));
-        match verdict.have_full.iter().next() {
-            Some(&lowest) => {
+        match fallback_decision(members.len(), verdict.have_full.len()) {
+            Fallback::PayloadLost => {
+                trace.hit(branch::PAYLOAD_LOST);
+                return Err(CommError::PeerFailed { rank: root });
+            }
+            Fallback::Retry { skip_attempt: skip } => {
                 // `skip_root_succession` is the seeded regression: a dead
                 // root keeps the role.
                 let keeps_role =
                     verdict.have_full.contains(&current_root) || drill.skip_root_succession;
-                let next_root = if keeps_role { current_root } else { lowest };
-                if next_root != current_root {
+                if let Some(&lowest) = verdict.have_full.iter().next().filter(|_| !keeps_role) {
                     trace.hit(branch::ROOT_SUCCESSION);
                     trace.succession_depth += 1;
-                    trace.root_chain.push(next_root);
+                    trace.root_chain.push(lowest);
+                    current_root = lowest;
                 }
-                current_root = next_root;
+                skip_attempt = skip;
             }
-            None => {
-                trace.hit(branch::PAYLOAD_LOST);
-                return Err(CommError::PeerFailed { rank: root });
-            }
-        }
-        if members.len() == verdict.have_full.len()
-            && members.iter().all(|r| verdict.have_full.contains(r))
-        {
-            trace.hit(branch::HEALED_SURVIVORS);
-            return Ok(Healed { survivors: members, epochs: epoch + 1 });
         }
     }
     trace.hit(branch::EPOCH_BUDGET_EXHAUSTED);
@@ -849,6 +1039,57 @@ mod tests {
             assert_eq!(h.epochs, 1);
             assert_eq!(h.survivors, (0..8).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn fault_free_agreement_is_one_tree_round_trip_on_threads() {
+        let n = 2048;
+        let src = pattern(n);
+        let out = ThreadWorld::run(8, |comm| {
+            let mut buf = if comm.rank() == 0 { src.clone() } else { vec![0u8; n] };
+            self_healing_bcast(comm, &mut buf, 0, &quick_cfg()).unwrap()
+        });
+        assert!(out.results.iter().all(|h| h.epochs == 1));
+        let expect = crate::traffic::bcast_volume(Algorithm::ScatterRingTuned, n, 8)
+            .plus(crate::traffic::fast_agreement_volume(8));
+        assert_eq!(out.traffic.total_msgs(), expect.msgs);
+        assert_eq!(out.traffic.total_bytes(), expect.bytes);
+    }
+
+    #[test]
+    fn agreement_tree_is_the_binomial_tree() {
+        assert_eq!(agreement_tree(0, 8), (None, vec![1, 2, 4]));
+        assert_eq!(agreement_tree(4, 8), (Some(0), vec![5, 6]));
+        assert_eq!(agreement_tree(6, 8), (Some(4), vec![7]));
+        assert_eq!(agreement_tree(7, 8), (Some(6), vec![]));
+        assert_eq!(agreement_tree(0, 1), (None, vec![]));
+        assert_eq!(agreement_tree(4, 6), (Some(0), vec![5]));
+        // Every non-root has exactly one parent that lists it as a child.
+        for n in 1..=33 {
+            let mut edges = 0;
+            for i in 0..n {
+                let (parent, children) = agreement_tree(i, n);
+                assert_eq!(parent.is_none(), i == 0);
+                for c in children {
+                    assert_eq!(agreement_tree(c, n).0, Some(i), "n={n}: {c} under {i}");
+                    edges += 1;
+                }
+            }
+            assert_eq!(edges, n - 1, "n={n}");
+        }
+    }
+
+    #[test]
+    fn fast_round_folds_and_fallback_rule() {
+        assert!(fold_frame(true, Some(&[1])));
+        assert!(!fold_frame(true, Some(&[0])));
+        assert!(!fold_frame(false, Some(&[1])), "a miss is never undone");
+        assert!(!fold_frame(true, None), "a failed receive is not ok");
+        assert!(!fold_frame(true, Some(&[7])), "a garbled byte is not ok");
+        assert!(!fold_frame(true, Some(&[])), "an empty frame is not ok");
+        assert_eq!(fallback_decision(5, 5), Fallback::Retry { skip_attempt: true });
+        assert_eq!(fallback_decision(5, 2), Fallback::Retry { skip_attempt: false });
+        assert_eq!(fallback_decision(5, 0), Fallback::PayloadLost);
     }
 
     #[test]

@@ -163,6 +163,14 @@ pub fn bcast_volume(algorithm: Algorithm, nbytes: usize, p: usize) -> Volume {
     }
 }
 
+/// Agreement traffic of a fault-free self-healing epoch over `p` members:
+/// the fast round's reduce and verdict send one 1-byte message along each
+/// of the binomial tree's `p − 1` edges, one way each.
+pub fn fast_agreement_volume(p: usize) -> Volume {
+    let edges = 2 * (p as u64).saturating_sub(1);
+    Volume { msgs: edges, bytes: edges }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

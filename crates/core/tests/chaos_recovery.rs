@@ -17,9 +17,10 @@
 
 use std::time::Duration;
 
+use bcast_core::recovery::{agreement_tree, branch};
 use bcast_core::{
-    check_recovery_outcome, recovery::branch, self_healing_bcast_async, self_healing_rank_task,
-    Algorithm, RankRun, RecoveryConfig, RecoveryDrill, RecoverySpec,
+    check_recovery_outcome, self_healing_bcast_async, self_healing_rank_task, Algorithm, RankRun,
+    RecoveryConfig, RecoveryDrill, RecoverySpec,
 };
 use mpsim::{
     complete_now, CommError, Communicator, EventWorld, Rank, ReliableComm, RetryConfig, SyncComm,
@@ -318,8 +319,8 @@ fn root_succession_chain_depth3_heals_at_p8() {
     };
     let crashes = [
         (0usize, 1u64), // root dies after one send: only subtree {4,5,6,7} completes
-        (4, 17),        // first successor dies entering epoch 1, before re-sourcing
-        (5, 30),        // second successor dies entering epoch 2, before re-sourcing
+        (4, 23),        // first successor dies entering epoch 1, before re-sourcing
+        (5, 38),        // second successor dies entering epoch 2, before re-sourcing
     ];
     let (results, traffic, elapsed, src) =
         event_cascade(8, 512, 0, Algorithm::Binomial, &crashes, cfg, seed);
@@ -345,6 +346,91 @@ fn root_succession_chain_depth3_heals_at_p8() {
         assert!(run.trace.saw(branch::ROOT_SUCCESSION));
         assert!(run.trace.saw(branch::DEATH_OBSERVED));
     }
+}
+
+/// Ranks of `index`'s subtree in the fast round's agreement tree over `n`
+/// members, `index` included.
+fn agreement_subtree(index: usize, n: usize) -> Vec<usize> {
+    let mut out = vec![index];
+    let mut i = 0;
+    while i < out.len() {
+        out.extend(agreement_tree(out[i], n).1);
+        i += 1;
+    }
+    out.sort_unstable();
+    out
+}
+
+/// The orphan hazard of the fast round: an interior tree node crashes
+/// right after sending its reduce frame up, before forwarding the verdict.
+/// Everyone outside its subtree commits in epoch 1; the orphaned subtree
+/// misses the verdict, falls back, counts the committers (who have
+/// returned) dead, and must heal exactly one epoch later — never in the
+/// fallback epoch, where excluding the same-epoch committers would be a
+/// split-brain.
+fn orphaned_subtree_heals_one_epoch_late(p: usize, victim: Rank) {
+    let seed = battery_seed() ^ 0x0E9A ^ p as u64;
+    let cfg = recovery_cfg(false);
+    let nbytes = 8 * p + 5;
+    let (parent, children) = agreement_tree(victim, p);
+    assert!(parent.is_some() && !children.is_empty(), "rank {victim} must be interior");
+
+    // The victim's fault-free operation count, minus its verdict receive
+    // and its verdict forwards, is the count at which its reduce send has
+    // just completed.
+    let clean = EventWorld::run(p, |comm| async move {
+        let faulty = FaultyComm::new(&comm, FaultPlan::new(seed));
+        let src = pattern(nbytes, seed);
+        let algorithm = Algorithm::ScatterRingTuned;
+        let drill = RecoveryDrill::NONE;
+        let run = self_healing_rank_task(&faulty, &src, 0, algorithm, &cfg, &drill).await;
+        assert_eq!(run.result.map(|h| h.epochs), Ok(1));
+        faulty.ops()
+    });
+    let after_reduce_send = clean.results[victim] - 1 - children.len() as u64;
+
+    let (results, traffic, elapsed, src) = event_cascade(
+        p,
+        nbytes,
+        0,
+        Algorithm::ScatterRingTuned,
+        &[(victim, after_reduce_send)],
+        cfg,
+        seed,
+    );
+    let spec =
+        RecoverySpec { src: &src, root: 0, cfg, planned_victims: &[victim], lossy_links: false };
+    check_recovery_outcome(&spec, &results, &traffic, elapsed).unwrap();
+
+    let subtree = agreement_subtree(victim, p);
+    let orphans: Vec<Rank> = subtree.iter().copied().filter(|&r| r != victim).collect();
+    for (rank, run) in results.iter().enumerate() {
+        if rank == victim {
+            assert_eq!(run.result, Err(CommError::PeerFailed { rank }), "P={p}: victim");
+            assert!(run.trace.saw(branch::SELF_CRASH));
+            continue;
+        }
+        let h = run.result.as_ref().unwrap_or_else(|e| panic!("P={p} rank {rank}: {e:?}"));
+        if subtree.contains(&rank) {
+            assert_eq!(h.epochs, 2, "P={p}: orphan {rank} must heal one epoch after the commit");
+            assert_eq!(h.survivors, orphans, "P={p}: orphan {rank}");
+            assert!(run.trace.saw(branch::HEALED_SURVIVORS), "P={p}: orphan {rank}");
+        } else {
+            assert_eq!(h.epochs, 1, "P={p}: committer {rank}");
+            assert_eq!(h.survivors, (0..p).collect::<Vec<_>>(), "P={p}: committer {rank}");
+            assert!(run.trace.saw(branch::HEALED_ALL), "P={p}: committer {rank}");
+        }
+    }
+}
+
+#[test]
+fn orphaned_subtree_heals_one_epoch_after_the_committers_p8() {
+    orphaned_subtree_heals_one_epoch_late(8, 4);
+}
+
+#[test]
+fn orphaned_subtree_heals_one_epoch_after_the_committers_p512() {
+    orphaned_subtree_heals_one_epoch_late(512, 256);
 }
 
 /// The megascale acceptance run: P ∈ {256, 1024, 4096} on the event

@@ -236,6 +236,12 @@ impl<'a, C: ?Sized> FaultyComm<'a, C> {
         self.dead.get()
     }
 
+    /// Operations counted on the crash clock so far: a plan crashing this
+    /// rank after `ops()` operations fails the very next one.
+    pub fn ops(&self) -> u64 {
+        self.ops.get()
+    }
+
     fn next_link_seq(&self, dst: Rank) -> u64 {
         let mut seqs = self.link_seq.borrow_mut();
         let k = seqs.entry(dst).or_insert(0);

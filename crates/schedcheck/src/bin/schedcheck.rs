@@ -11,19 +11,20 @@
 //! `schedcheck explore-reactor [--max-states N]` runs the other half of the
 //! crate instead: the interleaving explorer over every protocol model —
 //! the fast-sync mutex, condvar rendezvous and sharded-mailbox legacy
-//! models plus the four megascale-reactor models (run-queue dedup,
+//! models, the four megascale-reactor models (run-queue dedup,
 //! external-waker side queue, lane-mailbox routing, timer-wheel
-//! generations). Each model is explored exhaustively *and* with DPOR, the
-//! verdicts are required to agree, per-model state counts and reduction
-//! factors are printed, and a seeded mutation drill injects a known
-//! lost-wakeup / stale-handle bug into each reactor model and demands both
-//! explorers catch it. `--max-states` bounds the per-model state budget.
+//! generations), and the self-healing broadcast's fast-round agreement
+//! with its pairwise fallback. Each model is explored exhaustively *and*
+//! with DPOR, the verdicts are required to agree, per-model state counts
+//! and reduction factors are printed, and a seeded mutation drill injects
+//! a known lost-wakeup / stale-handle / split-brain bug into each reactor
+//! and agreement model and demands both explorers catch it. `--max-states` bounds the per-model state budget.
 
 use bcast_core::bcast::{bcast_schedule, bcast_tuned_schedule_with};
 use bcast_core::{all_sources, degraded_bcast_schedule, step_flag, traffic, Algorithm};
 use schedcheck::models::{
-    CondvarModel, ExternalWakerModel, FastMutexModel, LaneMailboxModel, MailboxModel,
-    RunQueueModel, TimerWheelModel,
+    AgreementModel, CondvarModel, ExternalWakerModel, FastMutexModel, LaneMailboxModel,
+    MailboxModel, RunQueueModel, TimerWheelModel,
 };
 use schedcheck::{check, explore, explore_dpor, Model, Semantics, DEFAULT_MAX_STATES};
 
@@ -177,6 +178,18 @@ fn explore_reactor(max_states: usize) -> ! {
             &mut failures,
         );
     }
+    for ranks in 3..=5 {
+        for victim in std::iter::once(None).chain((0..ranks).map(Some)) {
+            let crash = victim.map_or("none".to_string(), |v| v.to_string());
+            differential(
+                &format!("recovery-agreement ranks={ranks} crash={crash}"),
+                &AgreementModel { ranks, victim, heal_in_fallback: false },
+                max_states,
+                &mut totals,
+                &mut failures,
+            );
+        }
+    }
     println!(
         "phase 1: {} models clean; {} exhaustive states vs {} DPOR states ({:.2}x overall)",
         totals.models,
@@ -250,7 +263,14 @@ fn explore_reactor(max_states: usize) -> ! {
         max_states,
         &mut failures,
     ));
-    println!("phase 2: {drilled}/8 seeded mutants caught by both explorers");
+    drilled += usize::from(drill(
+        "recovery-agreement heal-in-fallback",
+        &AgreementModel { ranks: 4, victim: Some(2), heal_in_fallback: true },
+        "split-brain",
+        max_states,
+        &mut failures,
+    ));
+    println!("phase 2: {drilled}/9 seeded mutants caught by both explorers");
 
     if failures.is_empty() {
         println!("schedcheck explore-reactor: all clear");

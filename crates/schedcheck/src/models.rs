@@ -48,7 +48,23 @@
 //!   reachable state. Its `no_generation` knob matches handles on slab
 //!   index alone, letting a stale cancel kill a recycled entry — the
 //!   deadlock generation counting exists to prevent.
+//!
+//! The last model checks the self-healing broadcast's agreement protocol
+//! (`bcast_core::recovery`):
+//!
+//! * [`AgreementModel`] — the fast round (AND-reduce and verdict over the
+//!   deployed [`agreement_tree`], folded by the deployed [`fold_frame`])
+//!   with the pairwise fallback and the deployed [`fallback_decision`],
+//!   over 3–5 ranks with one crash at any step and the reliable timeout
+//!   oracle. Proves every live rank heals within budget and no survivor
+//!   set excludes a rank that heals in the same or a later epoch; its
+//!   `heal_in_fallback` knob lets a fallback rank heal at once, and the
+//!   orphaned subtree of a crashed interior node then excludes the
+//!   same-epoch committers — caught as a split-brain.
 
+use std::collections::BTreeMap;
+
+use bcast_core::recovery::{agreement_tree, fallback_decision, fold_frame, Fallback};
 use mpsim::event_mailbox::{bucket_route, BucketRoute};
 use mpsim::proto::{
     exit_wakes_watch, push_should_notify, release_needs_wake, slow_path_acquired,
@@ -1218,6 +1234,333 @@ impl Model for TimerWheelModel {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Self-healing broadcast: fast-round agreement with pairwise fallback
+// ---------------------------------------------------------------------------
+
+/// Fast-round reduce phase (tag offset inside the agreement page).
+const REDUCE: u8 = 1;
+/// Fast-round verdict phase.
+const VERDICT: u8 = 2;
+/// Pairwise fallback exchange.
+const PAIRWISE: u8 = 0;
+
+/// Per-rank location in [`AgreementModel`].
+#[derive(Clone, Copy, Hash, PartialEq, Eq, Debug)]
+enum ALoc {
+    /// Waiting for the reduce frame of tree child `k` (ascending order).
+    Reduce(u8),
+    /// About to send the AND up to the tree parent.
+    SendUp,
+    /// Waiting for the parent's verdict.
+    Verdict,
+    /// About to forward the verdict to the `k`-th child, largest first.
+    Forward(u8),
+    /// Fallback: about to send this rank's report to its `k`-th peer.
+    PairSend(u8),
+    /// Fallback: waiting for the `k`-th peer's report.
+    PairRecv(u8),
+    /// Returned: healed, crashed, or out of epochs.
+    Exited,
+}
+
+/// One rank of [`AgreementModel`].
+#[derive(Clone, Hash, PartialEq, Eq, Debug)]
+struct ARank {
+    loc: ALoc,
+    /// Current epoch.
+    epoch: u8,
+    /// Current member list as a bit mask over ranks.
+    members: u8,
+    /// The fast round's running verdict.
+    ok: bool,
+    /// Peers this epoch's fallback found dead.
+    dead: u8,
+    /// `(Healed::epochs, survivors mask)` once healed.
+    healed: Option<(u8, u8)>,
+    /// Whether the planned crash hit this rank.
+    crashed: bool,
+}
+
+/// State of [`AgreementModel`].
+#[derive(Clone, Hash, PartialEq, Eq, Debug)]
+pub struct AgreementState {
+    ranks: Vec<ARank>,
+    /// Frames in flight, keyed `(src, dst, phase, epoch, tag digest)` — the
+    /// digest is the member mask for the fast round's phases and `0` for the
+    /// digest-free pairwise tag. Each key is sent at most once.
+    frames: BTreeMap<(u8, u8, u8, u8, u8), u8>,
+}
+
+/// The self-healing broadcast's agreement: `ranks` ranks, every one of which
+/// already holds the payload, run the epoch loop's fast round over the
+/// deployed [`agreement_tree`] with the deployed [`fold_frame`], fall back
+/// to the pairwise exchange on a miss, and decide with the deployed
+/// [`fallback_decision`]. An optional `victim` fail-stops at any step (a
+/// separate crasher thread, so every interleaving of the crash is
+/// explored). Receives follow the reliable timeout oracle: a frame that is
+/// still coming is waited for, and a receive fails only once its sender has
+/// exited (crashed or returned) or moved past the frame's epoch or member
+/// list.
+///
+/// Properties: every live rank terminates (deadlock freedom) and heals
+/// within `2·crashes + 1` epochs; no healed rank's survivor set excludes a
+/// rank that healed in the same or a later epoch, nor counts one that
+/// neither healed nor crashed.
+pub struct AgreementModel {
+    /// World size (at most 8).
+    pub ranks: usize,
+    /// The rank that may crash, if any.
+    pub victim: Option<usize>,
+    /// Mutation: a rank whose fallback finds every remaining member holding
+    /// the payload heals in that same epoch, instead of through the next
+    /// epoch's fast round. An orphaned subtree then excludes the ranks that
+    /// committed in that epoch — the split-brain the rule exists to stop.
+    pub heal_in_fallback: bool,
+}
+
+impl AgreementModel {
+    fn max_epochs(&self) -> u8 {
+        2 * u8::from(self.victim.is_some()) + 1
+    }
+
+    /// Member ranks of `mask`, ascending.
+    fn list(mask: u8) -> Vec<u8> {
+        (0..8).filter(|r| mask & (1 << r) != 0).collect()
+    }
+
+    /// `(parent, children)` of `r` in the tree over `mask`, as ranks.
+    fn tree(r: u8, mask: u8) -> (Option<u8>, Vec<u8>) {
+        let list = Self::list(mask);
+        let index = list.iter().position(|&m| m == r).unwrap_or(0);
+        let (parent, children) = agreement_tree(index, list.len());
+        (parent.map(|p| list[p]), children.into_iter().map(|c| list[c]).collect())
+    }
+
+    /// Try to receive `(src → dst, phase, epoch, digest)`: `Some(Some(b))`
+    /// takes the frame, `Some(None)` is a failed receive (the sender can no
+    /// longer send it), `None` blocks.
+    fn recv(s: &mut AgreementState, src: u8, dst: u8, phase: u8, digest: u8) -> Option<Option<u8>> {
+        let me = &s.ranks[dst as usize];
+        let key = (src, dst, phase, me.epoch, digest);
+        if let Some(b) = s.frames.remove(&key) {
+            return Some(Some(b));
+        }
+        let peer = &s.ranks[src as usize];
+        let gone = peer.loc == ALoc::Exited
+            || peer.epoch > me.epoch
+            || (phase != PAIRWISE && peer.epoch == me.epoch && peer.members != me.members);
+        gone.then_some(None)
+    }
+
+    /// The location after the reduce phase's children are all in.
+    fn after_reduce(r: u8, mask: u8) -> ALoc {
+        if Self::tree(r, mask).0.is_some() {
+            ALoc::SendUp
+        } else {
+            ALoc::Forward(0)
+        }
+    }
+
+    /// Fold one failed-or-received fast-round frame, through the deployed
+    /// fold.
+    fn fold(ok: bool, frame: Option<u8>) -> bool {
+        fold_frame(ok, frame.map(|b| [b]).as_ref().map(|b| &b[..]))
+    }
+
+    /// End of the verdict forwards: commit, or fall back. (A lone member
+    /// has no receive to miss, so a miss always leaves peers to ask.)
+    fn finish_fast_round(rank: &mut ARank) {
+        if rank.ok {
+            rank.healed = Some((rank.epoch + 1, rank.members));
+            rank.loc = ALoc::Exited;
+        } else {
+            rank.dead = 0;
+            rank.loc = ALoc::PairSend(0);
+        }
+    }
+
+    /// End of the pairwise exchange: the deployed fallback decision.
+    fn finish_fallback(&self, rank: &mut ARank) {
+        let remaining = rank.members & !rank.dead;
+        let n = remaining.count_ones() as usize;
+        // Every rank holds the payload in this model, so every survivor of
+        // the exchange reported it.
+        match fallback_decision(n, n) {
+            Fallback::Retry { skip_attempt } => {
+                if self.heal_in_fallback && skip_attempt {
+                    rank.healed = Some((rank.epoch + 1, remaining));
+                    rank.loc = ALoc::Exited;
+                } else if rank.epoch + 1 >= self.max_epochs() {
+                    rank.loc = ALoc::Exited;
+                } else {
+                    // The skipped attempt leaves the next epoch's fast
+                    // round as its first step.
+                    rank.epoch += 1;
+                    rank.members = remaining;
+                    rank.ok = true;
+                    rank.loc = ALoc::Reduce(0);
+                }
+            }
+            Fallback::PayloadLost => rank.loc = ALoc::Exited,
+        }
+    }
+}
+
+impl Model for AgreementModel {
+    type State = AgreementState;
+
+    fn initial(&self) -> AgreementState {
+        assert!((1..=8).contains(&self.ranks), "1..=8 ranks");
+        let all = ((1u16 << self.ranks) - 1) as u8;
+        let rank = ARank {
+            loc: ALoc::Reduce(0),
+            epoch: 0,
+            members: all,
+            ok: true,
+            dead: 0,
+            healed: None,
+            crashed: false,
+        };
+        AgreementState { ranks: vec![rank; self.ranks], frames: BTreeMap::new() }
+    }
+
+    fn threads(&self) -> usize {
+        self.ranks + usize::from(self.victim.is_some())
+    }
+
+    fn is_done(&self, s: &AgreementState, tid: usize) -> bool {
+        match s.ranks.get(tid) {
+            Some(rank) => rank.loc == ALoc::Exited,
+            // The crasher: done once its victim has returned either way.
+            None => self.victim.is_none_or(|v| s.ranks[v].loc == ALoc::Exited),
+        }
+    }
+
+    fn step(&self, s: &AgreementState, tid: usize) -> Step<AgreementState> {
+        let mut n = s.clone();
+        let Some(rank) = s.ranks.get(tid) else {
+            // The crasher fail-stops its victim: gone, frames already sent
+            // stay deliverable.
+            let v = self.victim.unwrap_or(0);
+            n.ranks[v].crashed = true;
+            n.ranks[v].loc = ALoc::Exited;
+            return Step::Next(n);
+        };
+        let r = tid as u8;
+        let (parent, children) = Self::tree(r, rank.members);
+        let digest = rank.members;
+        match rank.loc {
+            ALoc::Reduce(k) => {
+                let Some(&c) = children.get(k as usize) else {
+                    n.ranks[tid].loc = Self::after_reduce(r, rank.members);
+                    return Step::Next(n);
+                };
+                let Some(frame) = Self::recv(&mut n, c, r, REDUCE, digest) else {
+                    return Step::Blocked;
+                };
+                let me = &mut n.ranks[tid];
+                me.ok = Self::fold(me.ok, frame);
+                me.loc = if k as usize + 1 < children.len() {
+                    ALoc::Reduce(k + 1)
+                } else {
+                    Self::after_reduce(r, rank.members)
+                };
+            }
+            ALoc::SendUp => {
+                let p = parent.unwrap_or(r);
+                n.frames.insert((r, p, REDUCE, rank.epoch, digest), u8::from(rank.ok));
+                n.ranks[tid].loc = ALoc::Verdict;
+            }
+            ALoc::Verdict => {
+                let p = parent.unwrap_or(r);
+                let Some(frame) = Self::recv(&mut n, p, r, VERDICT, digest) else {
+                    return Step::Blocked;
+                };
+                let me = &mut n.ranks[tid];
+                me.ok = Self::fold(me.ok, frame);
+                me.loc = ALoc::Forward(0);
+            }
+            ALoc::Forward(k) => {
+                let mut me = n.ranks[tid].clone();
+                if let Some(&c) = children.iter().rev().nth(k as usize) {
+                    n.frames.insert((r, c, VERDICT, rank.epoch, digest), u8::from(rank.ok));
+                    me.loc = ALoc::Forward(k + 1);
+                } else {
+                    Self::finish_fast_round(&mut me);
+                }
+                n.ranks[tid] = me;
+            }
+            ALoc::PairSend(k) => {
+                let peers: Vec<u8> =
+                    Self::list(rank.members).into_iter().filter(|&q| q != r).collect();
+                let q = peers[k as usize];
+                n.frames.insert((r, q, PAIRWISE, rank.epoch, 0), 1);
+                n.ranks[tid].loc = ALoc::PairRecv(k);
+            }
+            ALoc::PairRecv(k) => {
+                let peers: Vec<u8> =
+                    Self::list(rank.members).into_iter().filter(|&q| q != r).collect();
+                let q = peers[k as usize];
+                let Some(frame) = Self::recv(&mut n, q, r, PAIRWISE, 0) else {
+                    return Step::Blocked;
+                };
+                let mut me = n.ranks[tid].clone();
+                if frame.is_none() {
+                    me.dead |= 1 << q;
+                }
+                if (k as usize) + 1 < peers.len() {
+                    me.loc = ALoc::PairSend(k + 1);
+                } else {
+                    self.finish_fallback(&mut me);
+                }
+                n.ranks[tid] = me;
+            }
+            ALoc::Exited => return Step::Blocked,
+        }
+        Step::Next(n)
+    }
+
+    fn invariant(&self, s: &AgreementState) -> Result<(), String> {
+        for (x, rx) in s.ranks.iter().enumerate() {
+            let Some((ex, mx)) = rx.healed else { continue };
+            if mx & (1 << x) == 0 {
+                return Err(format!("rank {x} healed outside its own survivor set"));
+            }
+            for (y, ry) in s.ranks.iter().enumerate() {
+                if let Some((ey, _)) = ry.healed {
+                    if mx & (1 << y) == 0 && ey >= ex {
+                        return Err(format!(
+                            "rank {x} (healed epoch {ex}) excludes rank {y}, which healed in \
+                             epoch {ey} — a split-brain"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn accept(&self, s: &AgreementState) -> Result<(), String> {
+        for (x, rx) in s.ranks.iter().enumerate() {
+            match rx.healed {
+                None if !rx.crashed => {
+                    return Err(format!("live rank {x} never healed ({rx:?})"));
+                }
+                None => {}
+                Some((_, mx)) => {
+                    if let Some(ghost) = (0..s.ranks.len()).find(|&y| {
+                        mx & (1 << y) != 0 && s.ranks[y].healed.is_none() && !s.ranks[y].crashed
+                    }) {
+                        return Err(format!("rank {x} counts rank {ghost}, which never healed"));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1421,6 +1764,32 @@ mod tests {
         for run in [explore(&m, DEFAULT_MAX_STATES), explore_dpor(&m, DEFAULT_MAX_STATES)] {
             let err = run.unwrap_err();
             assert!(err.contains("deadlock"), "{err}");
+        }
+    }
+
+    // -- self-healing agreement ----------------------------------------------
+
+    #[test]
+    fn agreement_fast_round_with_fallback_is_sound() {
+        for ranks in 3..=4 {
+            for victim in std::iter::once(None).chain((0..ranks).map(Some)) {
+                let m = AgreementModel { ranks, victim, heal_in_fallback: false };
+                let full = explore(&m, DEFAULT_MAX_STATES).unwrap();
+                let dpor = explore_dpor(&m, DEFAULT_MAX_STATES).unwrap();
+                assert!(dpor.states <= full.states, "ranks={ranks} victim={victim:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn agreement_heal_in_fallback_is_a_split_brain() {
+        // Rank 2 is interior in the 4-rank tree (child 3): crashing right
+        // after its reduce send orphans rank 3, whose fallback then finds
+        // the committers 0 and 1 gone.
+        let m = AgreementModel { ranks: 4, victim: Some(2), heal_in_fallback: true };
+        for run in [explore(&m, DEFAULT_MAX_STATES), explore_dpor(&m, DEFAULT_MAX_STATES)] {
+            let err = run.unwrap_err();
+            assert!(err.contains("split-brain"), "{err}");
         }
     }
 }
